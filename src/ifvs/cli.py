@@ -48,7 +48,12 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="auto")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--trace", action="store_true", help="per-candidate trace on stderr")
-    p.add_argument("--threads", type=int, default=1, help="candidate worker pool size")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; no effect, the solver is sequential",
+    )
     p.add_argument("--seed", type=int, default=None, help="shuffle the insertion order")
     p.add_argument(
         "--no-timing",
@@ -71,6 +76,8 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
                 "candidates": stats.candidates,
                 "dp_cells": stats.dp_cells,
                 "fallbacks": stats.fallbacks,
+                "pruned": stats.pruned,
+                "skipped": stats.skipped,
             },
             "steps": [
                 {
@@ -80,6 +87,8 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
                     "candidates": s.candidates,
                     "dp_cells": s.dp_cells,
                     "fallbacks": s.fallbacks,
+                    "pruned": s.pruned,
+                    "skipped": s.skipped,
                 }
                 for s in stats.steps
             ],
@@ -94,7 +103,8 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
             lines.append(f"certificate ({len(outcome.certificate)}): {ids}")
         counters = (
             f"candidates: {stats.candidates}  dp_cells: {stats.dp_cells}  "
-            f"fallbacks: {stats.fallbacks}"
+            f"fallbacks: {stats.fallbacks}  pruned: {stats.pruned}  "
+            f"skipped: {stats.skipped}"
         )
         if not args.no_timing:
             counters += f"  ms: {stats.ms:.3f}"
@@ -188,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark family, emit CSV")
     p_bench.add_argument("--spec", required=True, help="CSV of n,m,k,reps rows")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     p_bench.add_argument("--output", default=None)
 
     return parser

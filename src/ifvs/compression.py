@@ -7,6 +7,13 @@ the grown prefix (deleting it restores the old forest), which
 optimum.  Any induced subgraph of a yes-instance is a yes-instance, so
 the loop can answer "no" the moment a prefix optimum exceeds the budget,
 and "absent" the moment a prefix has no solution at all.
+
+A union-find over the forest left by the current optimum tells whether
+the new vertex closes a cycle.  When it does not, the step is *skipped*:
+no edge joins two old vertices, so the old optimum is still independent
+and still an FVS, and prefix optima never shrink, so it is still
+minimum.  Only a step that closes a cycle pays for the extension stage,
+which also receives the old optimum as a lower bound.
 """
 
 from __future__ import annotations
@@ -17,17 +24,19 @@ from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
 from .extension import min_ifvs_given_fvs
-from .graph import Graph, mask_of
+from .graph import Graph, bits, mask_of
 
 
 @dataclass
 class StepRecord:
     prefix: int  # number of vertices in the grown graph
-    fvs_size: int  # size of the FVS handed to the extension stage
+    fvs_size: int  # size of the FVS handed to the extension stage (0: skipped)
     min_ifvs: int | None  # prefix optimum (None: no solution exists)
     candidates: int
     dp_cells: int
     fallbacks: int
+    pruned: int = 0  # candidates the extension stage pruned
+    skipped: bool = False  # no cycle closed, the old optimum carried over
 
 
 @dataclass
@@ -36,6 +45,8 @@ class SolveStats:
     dp_cells: int = 0
     fallbacks: int = 0
     fallback_tests: int = 0
+    pruned: int = 0
+    skipped: int = 0  # steps that closed no cycle and ran no extension
     ms: float = 0.0
     f_max: int = 0  # largest FVS handed to the extension stage
     steps: list[StepRecord] = field(default_factory=list)
@@ -76,6 +87,21 @@ def _resolve_order(g: Graph, order, seed) -> list[int]:
     return order
 
 
+def _find(parent: list[int], u: int) -> int:
+    while parent[u] != u:
+        parent[u] = u = parent[parent[u]]
+    return u
+
+
+def _forest_parents(prefix: Graph, removed: int) -> list[int]:
+    """Union-find over ``prefix`` minus ``removed``, which must be an FVS."""
+    parent = list(range(prefix.n))
+    for u, v in prefix.edges:
+        if not (removed >> u & 1 or removed >> v & 1):
+            parent[_find(parent, u)] = _find(parent, v)
+    return parent
+
+
 def solve_ifvs(
     g: Graph,
     k: int,
@@ -91,46 +117,82 @@ def solve_ifvs(
     Returns decision "yes" with a certificate, "no" when the optimum
     exceeds ``k``, or "absent" when no such set of any size exists.
     Insertion order defaults to the input order; ``seed`` shuffles it
-    reproducibly.
+    reproducibly.  ``threads`` is accepted for compatibility and has no
+    effect.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     t0 = time.perf_counter()
     stats = SolveStats()
     order = _resolve_order(g, order, seed)
+    local = [0] * g.n
+    for i, v in enumerate(order):
+        local[v] = i
 
     decision = "yes"
     current: tuple[int, ...] = ()  # prefix optimum, local ids
-    # prefixes with at most two vertices are acyclic, so the empty set is
-    # their optimum and the loop starts at size three
-    for size in range(3, g.n + 1):
+    current_mask = 0
+    parent = list(range(g.n))  # union-find over the prefix minus current
+    for size in range(1, g.n + 1):
+        new = size - 1
+        closes = False
+        for w in bits(g.adj[order[new]]):
+            w = local[w]
+            if w < new and not current_mask >> w & 1:
+                a, b = _find(parent, new), _find(parent, w)
+                if a == b:
+                    closes = True
+                    break
+                parent[a] = b
+        if not closes:
+            # prefixes with at most two vertices are acyclic and get no step
+            if size >= 3:
+                stats.skipped += 1
+                stats.steps.append(
+                    StepRecord(
+                        prefix=size,
+                        fvs_size=0,
+                        min_ifvs=len(current),
+                        candidates=0,
+                        dp_cells=0,
+                        fallbacks=0,
+                        skipped=True,
+                    )
+                )
+                if progress is not None:
+                    progress(f"step {size}: {size} vertices, skipped, min = {len(current)}")
+            continue
+
         prefix = _prefix_graph(g, order, size)
-        fvs_input = mask_of(current) | 1 << (size - 1)
+        fvs_input = current_mask | 1 << new
         assert prefix.is_fvs(fvs_input)
-        outcome = min_ifvs_given_fvs(prefix, fvs_input, threads=threads, trace=trace)
+        outcome = min_ifvs_given_fvs(prefix, fvs_input, lower=len(current), trace=trace)
 
         fvs_size = fvs_input.bit_count()
+        ext = outcome.stats
         stats.f_max = max(stats.f_max, fvs_size)
-        stats.candidates += outcome.stats.candidates_scanned
-        stats.dp_cells += outcome.stats.dp_cells
-        stats.fallbacks += outcome.stats.fallbacks
-        stats.fallback_tests += outcome.stats.fallback_tests
+        stats.candidates += ext.candidates_scanned
+        stats.dp_cells += ext.dp_cells
+        stats.fallbacks += ext.fallbacks
+        stats.fallback_tests += ext.fallback_tests
+        stats.pruned += ext.pruned
         stats.steps.append(
             StepRecord(
                 prefix=size,
                 fvs_size=fvs_size,
                 min_ifvs=outcome.size,
-                candidates=outcome.stats.candidates_scanned,
-                dp_cells=outcome.stats.dp_cells,
-                fallbacks=outcome.stats.fallbacks,
+                candidates=ext.candidates_scanned,
+                dp_cells=ext.dp_cells,
+                fallbacks=ext.fallbacks,
+                pruned=ext.pruned,
             )
         )
         if progress is not None:
             shown = "-" if outcome.size is None else str(outcome.size)
             progress(
                 f"step {size}: {size} vertices, fvs = {fvs_size}, min = {shown}, "
-                f"candidates = {outcome.stats.candidates_scanned}, "
-                f"cells = {outcome.stats.dp_cells}"
+                f"candidates = {ext.candidates_scanned}, pruned = {ext.pruned}, "
+                f"cells = {ext.dp_cells}"
             )
         if outcome.absent:
             decision = "absent"
@@ -139,6 +201,8 @@ def solve_ifvs(
         if len(current) > k:
             decision = "no"
             break
+        current_mask = mask_of(current)
+        parent = _forest_parents(prefix, current_mask) + parent[size:]
 
     certificate = None
     if decision == "yes":
@@ -155,7 +219,6 @@ def decide_prefix_chain(
     *,
     order: list[int] | None = None,
     seed: int | None = None,
-    threads: int = 1,
 ) -> list[int | None]:
     """Prefix optima along the compression chain, for diagnostics.
 
@@ -164,19 +227,8 @@ def decide_prefix_chain(
     ``k`` the chain stops right after the first entry exceeding it, as
     the solver would; without one it covers every prefix.
     """
-    order = _resolve_order(g, order, seed)
     if g.n < 2:
         return []
-    chain: list[int | None] = [0]  # two vertices hold at most one edge
-    current: tuple[int, ...] = ()
-    for size in range(3, g.n + 1):
-        prefix = _prefix_graph(g, order, size)
-        fvs_input = mask_of(current) | 1 << (size - 1)
-        outcome = min_ifvs_given_fvs(prefix, fvs_input, threads=threads)
-        chain.append(outcome.size)
-        if outcome.absent:
-            break
-        current = outcome.certificate  # type: ignore[assignment]
-        if k is not None and outcome.size > k:
-            break
-    return chain
+    outcome = solve_ifvs(g, g.n if k is None else k, order=order, seed=seed)
+    # two vertices hold at most one edge, so the chain starts at 0
+    return [0] + [step.min_ifvs for step in outcome.stats.steps]

@@ -17,7 +17,17 @@ region.  Two *different* kept regions (below a deleted vertex, or in
 different trees) can still close a cycle through a shared pair of
 components, which the tables cannot see; every assembled certificate is
 therefore re-validated, and an exact bounded search replaces the DP
-answer for the rare candidate whose certificate fails that check.
+answer for a candidate whose certificate fails that check.
+
+Candidates are solved in ascending ``(size, bitmask)`` order against the
+best total found so far.  A candidate whose size already reaches that
+total is *pruned* without running the DP, and so is one whose size plus
+DP value reaches it: the tables only ever under-count, so the DP value
+is a lower bound on the candidate's exact cost and the validity gate and
+fallback can be skipped.  Fallback searches wait until every candidate
+has had its DP, so the best total known by then caps them.  A
+caller-supplied lower bound on the optimum ends the scan as soon as the
+best total meets it.
 """
 
 from __future__ import annotations
@@ -69,6 +79,7 @@ class CandidateRecord:
     fallback: bool = False
     fallback_tests: int = 0
     capped: bool = False
+    pruned: bool = False  # could not beat the best total; exact cost never computed
 
 
 @dataclass
@@ -94,6 +105,10 @@ class ExtensionStats:
     @property
     def fallback_tests(self) -> int:
         return sum(r.fallback_tests for r in self.records)
+
+    @property
+    def pruned(self) -> int:
+        return sum(1 for r in self.records if r.pruned)
 
 
 @dataclass
@@ -501,19 +516,26 @@ def _compute_tables(g: Graph, arrays: _ForestArrays, cand: Candidate) -> DpTable
     return DpTables(arrays, cand, link, keep, delete, min_keep, tuple(evals))
 
 
-def _run_dp(g: Graph, arrays: _ForestArrays, cand: Candidate, want_tables: bool):
+def _run_dp(
+    g: Graph,
+    arrays: _ForestArrays,
+    cand: Candidate,
+    want_tables: bool,
+    cap: float = INFEASIBLE,
+):
     """Tables plus one optimal root-level assignment per tree.
 
     Returns ``(cost, extension_mask, node_evals, tables)``;
-    ``extension_mask`` is None and the cost INFEASIBLE when some tree
-    admits no assignment at all.
+    ``extension_mask`` is None when some tree admits no assignment at
+    all (cost INFEASIBLE) or when the cost is not below ``cap``, in which
+    case the traceback is skipped.
     """
     tables = _compute_tables(g, arrays, cand)
     total: float = 0
     for r in arrays.roots:
         total += tables.best_for_root(r)
-    if math.isinf(total):
-        return INFEASIBLE, None, tables.node_evals, tables if want_tables else None
+    if not total < cap:
+        return total, None, tables.node_evals, tables if want_tables else None
 
     assign: dict[int, bool] = {}
     ops = []
@@ -729,15 +751,21 @@ def min_ifvs_given_fvs(
     g: Graph,
     f: int,
     *,
+    lower: int = 0,
     threads: int = 1,
     trace: TextIO | None = None,
 ) -> ExtensionOutcome:
     """Minimum independent feedback vertex set of ``g``, given an FVS ``f``.
 
-    Scans every admissible subset of ``f``, extends each with the forest
-    DP, and keeps the cheapest assembled solution (ties go to the
-    smaller subset bitmask).  Reports absence when every candidate is
-    infeasible.  Raises :class:`NotAnFvsError` when ``f`` is not an FVS.
+    Scans every admissible subset of ``f`` in ascending ``(size,
+    bitmask)`` order, extends each with the forest DP unless it is
+    pruned, and keeps the cheapest assembled solution (ties go to the
+    earlier candidate).  ``lower`` must not exceed the optimum, such as
+    the optimum of an induced subgraph; the scan stops once the best
+    total equals it.  ``threads`` is accepted for compatibility and has
+    no effect: the pruned scan is sequential.  Reports absence when every
+    candidate is infeasible.  Raises :class:`NotAnFvsError` when ``f`` is
+    not an FVS.
     """
     if not g.is_fvs(f):
         raise NotAnFvsError("the provided set is not a feedback vertex set")
@@ -764,62 +792,56 @@ def min_ifvs_given_fvs(
         rec = CandidateRecord(sub, size, True, l=cand.l)
         stats.records.append(rec)
         accepted.append((cand, rec))
+    accepted.sort(key=lambda item: (item[0].size, item[0].fvs_part))
 
-    # phase 1: run the DP for each candidate (read-only inputs, so this
-    # parallelizes; results are merged in candidate order either way)
-    def dp_pass(cand: Candidate):
-        return _run_dp(g, arrays, cand, want_tables)
-
-    if threads > 1 and len(accepted) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw_results = list(pool.map(dp_pass, (c for c, _ in accepted)))
-    else:
-        raw_results = [dp_pass(c) for c, _ in accepted]
-
-    # phase 2: deterministic merge behind the validity gate.  Candidates
-    # whose traced certificate validates are folded first (ties keep the
-    # smaller subset bitmask); candidates needing the exact fallback run
-    # afterwards so the established optimum caps their searches, and they
-    # displace the leader only when strictly cheaper.
+    # phase 1: the DP in ascending (size, bitmask) order, behind the
+    # validity gate.  Every improvement is strict, so ties keep the
+    # earlier candidate.
     best_total: float = INFEASIBLE
     best_cert: int | None = None
     trace_tables: dict[int, str] = {}
-    pending: list[tuple[Candidate, CandidateRecord, int]] = []
-    for (cand, rec), (cost, extension, node_evals, tables) in zip(
-        accepted, raw_results
-    ):
+    pending: list[tuple[int, Candidate, CandidateRecord]] = []
+    for cand, rec in accepted:
+        if best_total <= lower or cand.size >= best_total:
+            rec.pruned = True
+            continue
+        cost, extension, node_evals, tables = _run_dp(
+            g, arrays, cand, want_tables, best_total - cand.size
+        )
         rec.dp_cost = cost
         rec.total_evals = sum(node_evals)
         rec.max_node_evals = max(node_evals, default=0)
         if tables is not None:
             trace_tables[cand.fvs_part] = _format_tables(arrays, tables)
         if extension is None:
+            # infeasible, or the DP's lower bound cannot beat the best
+            rec.pruned = not math.isinf(cost)
             continue
         if not g.is_ifvs(cand.fvs_part | extension):
-            rec.fallback = True
-            pending.append((cand, rec, int(cost)))
+            pending.append((cand.size + cost, cand, rec))
             continue
         rec.cost = cost
-        total = cand.size + cost
-        if total < best_total:
-            best_total = total
-            best_cert = cand.fvs_part | extension
+        best_total = cand.size + cost
+        best_cert = cand.fvs_part | extension
 
-    for cand, rec, dp_cost in pending:
+    # phase 2: candidates that failed the gate, cheapest DP bound first,
+    # so the established optimum caps each exact fallback search
+    pending.sort(key=lambda item: (item[0], item[1].size, item[1].fvs_part))
+    for bound, cand, rec in pending:
+        if best_total <= lower or bound >= best_total:
+            rec.pruned = True
+            continue
+        rec.fallback = True
         size, ext, tests, capped = _fallback_search(
-            g, cand, arrays.tree_mask, dp_cost, best_total - cand.size
+            g, cand, arrays.tree_mask, bound - cand.size, best_total - cand.size
         )
         rec.fallback_tests = tests
         rec.capped = capped
         if size is None:
             continue
         rec.cost = size
-        total = cand.size + size
-        if total < best_total:
-            best_total = total
-            best_cert = cand.fvs_part | ext  # type: ignore[operator]
+        best_total = cand.size + size
+        best_cert = cand.fvs_part | ext  # type: ignore[operator]
 
     if trace is not None:
         trace.write(f"forest nodes ({h.black_count} black, {h.white_count} white):\n")
@@ -827,9 +849,13 @@ def min_ifvs_given_fvs(
         for rec in stats.records:
             members = "{" + ",".join(str(v) for v in bits(rec.fvs_part)) + "}"
             if rec.accepted:
-                extra = f" l={rec.l} dp_cost={rec.dp_cost} evals={rec.total_evals}"
+                extra = f" l={rec.l}"
+                if not (rec.pruned and math.isinf(rec.dp_cost)):  # the DP ran
+                    extra += f" dp_cost={rec.dp_cost} evals={rec.total_evals}"
                 if rec.fallback:
                     extra += f" fallback(tests={rec.fallback_tests})"
+                if rec.pruned:
+                    extra += " pruned"
                 trace.write(f"candidate {members} accepted{extra}\n")
                 if rec.fvs_part in trace_tables:
                     trace.write(trace_tables[rec.fvs_part] + "\n")

@@ -11,6 +11,13 @@ from .graph import Graph
 
 FORMATS = ("auto", "edgelist", "dimacs")
 
+# Header counts are checked before anything is allocated from them.
+# Adjacency rows are bitmasks, so n vertices may hold up to n * n / 8
+# bytes of them: 128 MiB at this cap.  The solver is exponential in the
+# solution size, so graphs near either cap are already far out of reach.
+MAX_VERTICES = 1 << 15
+MAX_EDGES = 1 << 20
+
 
 class ParseError(ValueError):
     """Input text rejected; carries the offending line number and content."""
@@ -21,6 +28,15 @@ class ParseError(ValueError):
         if line_no is not None:
             message = f"line {line_no}: {message}: {line.strip()!r}"
         super().__init__(message)
+
+
+def _check_counts(n: int, m: int, line_no: int, line: str) -> None:
+    if n < 0 or m < 0:
+        raise ParseError("negative count in header", line_no, line)
+    if n > MAX_VERTICES:
+        raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}", line_no, line)
+    if m > MAX_EDGES:
+        raise ParseError(f"{m} edges exceed the limit of {MAX_EDGES}", line_no, line)
 
 
 def detect_format(text: str) -> str:
@@ -55,8 +71,7 @@ def parse_edgelist(text: str) -> Graph:
                 n, declared_m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("non-integer header", idx, raw) from None
-            if n < 0 or declared_m < 0:
-                raise ParseError("negative count in header", idx, raw)
+            _check_counts(n, declared_m, idx, raw)
             header = (n, declared_m)
             continue
         if len(parts) != 2:
@@ -104,6 +119,7 @@ def parse_dimacs(text: str) -> Graph:
                 n, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("non-integer problem line", idx, raw) from None
+            _check_counts(n, declared_m, idx, raw)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", idx, raw)

@@ -30,6 +30,20 @@ def petersen() -> Graph:
     return Graph(10, outer + inner + spokes)
 
 
+def planted(n: int, k: int, seed: int) -> Graph:
+    """k disjoint triangles plus a path, labels shuffled: optimum is k."""
+    rng = random.Random(seed)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = []
+    for t in range(k):
+        a, b, c = labels[3 * t : 3 * t + 3]
+        edges += [(a, b), (b, c), (c, a)]
+    rest = labels[3 * k :]
+    edges += [(rest[i], rest[i + 1]) for i in range(len(rest) - 1)]
+    return Graph(n, edges)
+
+
 def random_graph(rng: random.Random, n_max: int = 12, m_cap: int | None = None) -> Graph:
     n = rng.randint(1, n_max)
     limit = n * (n - 1) // 2

@@ -147,3 +147,14 @@ def test_no_timing_strips_ms():
 def test_threads_flag_accepted(threads):
     proc = run_cli("ifvs", "--k", "1", "--threads", threads, stdin=C4_EDGELIST)
     assert proc.returncode == 0
+
+
+def test_skip_and_prune_counters_are_reported():
+    proc = run_cli("ifvs", "--k", "1", "--json", "-v", stdin=C4_EDGELIST)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    # the first three vertices form a path, so step 3 closes no cycle
+    assert report["stats"]["skipped"] == 1
+    assert [s["skipped"] for s in report["steps"]] == [True, False]
+    assert report["stats"]["pruned"] == sum(s["pruned"] for s in report["steps"])
+    assert "step 3: 3 vertices, skipped" in proc.stderr

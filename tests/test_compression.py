@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import complete, cycle, path, random_graph
+from conftest import complete, cycle, path, planted, random_graph
 from ifvs import (
     Graph,
     brute_min_ifvs,
@@ -126,3 +128,52 @@ def test_stats_are_populated():
     assert out.stats.ms >= 0
     assert out.stats.f_max >= 1
     assert len(out.stats.steps) == 3  # prefixes of size 3, 4, 5
+
+
+def test_only_cycle_closing_steps_run_the_extension():
+    # each triangle closes one cycle when its last vertex arrives; the
+    # path closes none, whatever the insertion order
+    for n, seed in ((48, 17), (96, 17), (96, 3)):
+        g = planted(n, 3, seed)
+        for order_seed in (None, 1):
+            out = solve_ifvs(g, 3, seed=order_seed)
+            assert out.decision == "yes"
+            ran = [s for s in out.stats.steps if not s.skipped]
+            assert len(ran) == 3
+            assert out.stats.skipped == len(out.stats.steps) - 3 == n - 5
+            for step in out.stats.steps:
+                if step.skipped:
+                    assert step.candidates == step.dp_cells == step.fallbacks == 0
+
+    # a hub over three edges, then a path whose vertices all touch the hub:
+    # once the hub is the optimum, the path closes no cycle without it
+    edges = [(0, 1), (2, 3), (4, 5)] + [(6, v) for v in range(6)]
+    edges += [(v, v + 1) for v in range(7, 11)] + [(6, v) for v in range(7, 12)]
+    out = solve_ifvs(Graph(12, edges), 1)
+    assert out.certificate == (6,)
+    assert [s.prefix for s in out.stats.steps if not s.skipped] == [7]
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+    return Graph(n, chosen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_decision_matches_oracle_at_the_optimum(g):
+    oracle = brute_min_ifvs(g)
+    for seed in (None, 1, 2):
+        if oracle is None:
+            assert solve_ifvs(g, g.n, seed=seed).decision == "absent"
+            continue
+        opt = oracle[0]
+        out = solve_ifvs(g, opt, seed=seed)
+        assert out.decision == "yes"
+        assert len(out.certificate) == opt
+        assert g.is_ifvs(mask_of(out.certificate))
+        if opt > 0:
+            assert solve_ifvs(g, opt - 1, seed=seed).decision == "no"

@@ -372,3 +372,33 @@ def test_trace_output():
     assert "candidate {} accepted" in text
     assert "candidate {0} accepted" in text
     assert "keep=[" in text
+
+
+def test_lower_bound_keeps_the_optimum():
+    rng = random.Random(35)
+    for _ in range(150):
+        g = random_graph(rng, n_max=11)
+        _, fcert = brute_min_fvs(g)
+        f = mask_of(fcert)
+        for v in range(g.n):
+            if rng.random() < 0.15:
+                f |= 1 << v
+        base = min_ifvs_given_fvs(g, f)
+        if base.absent:
+            assert min_ifvs_given_fvs(g, f, lower=g.n).absent
+            continue
+        for lower in range(base.size + 1):
+            out = min_ifvs_given_fvs(g, f, lower=lower)
+            assert out.size == base.size, (g.edges, f, lower)
+            assert g.is_ifvs(mask_of(out.certificate))
+            assert out.stats.candidates_scanned == base.stats.candidates_scanned
+
+
+def test_trace_marks_pruned_candidates():
+    import io
+
+    sink = io.StringIO()
+    out = min_ifvs_given_fvs(cycle(4), mask_of([0]), trace=sink)
+    # {} already costs 1, so the one-vertex candidate {0} cannot beat it
+    assert out.stats.pruned == 1
+    assert "candidate {0} accepted l=0 pruned" in sink.getvalue()

@@ -1,7 +1,7 @@
 import pytest
 
 from ifvs import Graph, ParseError, format_edgelist, load_graph, parse_dimacs, parse_edgelist
-from ifvs.io import detect_format
+from ifvs.io import MAX_EDGES, MAX_VERTICES, detect_format
 
 EDGELIST = """4 4
 0 1
@@ -59,3 +59,16 @@ def test_self_loop_rejected_with_line():
     with pytest.raises(ParseError) as err:
         parse_edgelist("3 1\n1 1\n")
     assert "line 2" in str(err.value)
+
+
+def test_hostile_header_counts_fail_before_allocating():
+    huge = 10**12
+    for text in (f"{huge} 0\n", f"p edge {huge} 0\n", f"4 {huge}\n", f"p edge 4 {huge}\n"):
+        with pytest.raises(ParseError) as err:
+            load_graph(text)
+        assert "line 1" in str(err.value) and "exceed the limit" in str(err.value)
+    assert parse_edgelist(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    with pytest.raises(ParseError):
+        parse_dimacs(f"p edge {MAX_VERTICES + 1} 0\n")
+    with pytest.raises(ParseError):
+        parse_edgelist(f"2 {MAX_EDGES + 1}\n")
