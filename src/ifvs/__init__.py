@@ -5,32 +5,23 @@ vertex set of size at most ``k`` is simultaneously independent and a
 feedback vertex set, and produces a certificate when one exists.  Plain
 feedback vertex set instances are handled through the edge-subdivision
 reduction.  Brute-force oracles back the differential test suite.
+
+Result and helper types (``SolveOutcome``, ``ExtensionOutcome``,
+``Candidate``, ``DpTables``, ``RootedForest``, ``SubdivisionMap``, ...)
+are importable from their modules.
 """
 
-from .binarize import (
-    BinaryForest,
-    BinaryNode,
-    NotAForestError,
-    RootedForest,
-    binarize,
-    contract_white_chains,
-    dump_forest,
-    root_forest,
-)
-from .compression import SolveOutcome, SolveStats, decide_prefix_chain, solve_ifvs
+from .compression import decide_prefix_chain, solve_ifvs
 from .extension import (
     INFEASIBLE,
-    Candidate,
-    DpSolveResult,
-    DpTables,
-    ExtensionOutcome,
-    InvalidForestError,
+    NotAForestError,
     NotAnFvsError,
     compute_tables,
     direct_component_links,
     dp_solve,
     enumerate_candidates,
     min_ifvs_given_fvs,
+    root_forest,
 )
 from .generator import generate
 from .graph import Graph, GraphError, bits, mask_of
@@ -41,40 +32,26 @@ from .oracle import (
     brute_min_ifvs,
     brute_min_ifvs_extension,
 )
-from .reduction import SubdivisionMap, solve_fvs, subdivide
+from .reduction import solve_fvs, subdivide
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryForest",
-    "BinaryNode",
-    "Candidate",
-    "DpSolveResult",
-    "DpTables",
-    "ExtensionOutcome",
     "Graph",
     "GraphError",
     "INFEASIBLE",
-    "InvalidForestError",
     "NotAForestError",
     "NotAnFvsError",
     "ParseError",
-    "RootedForest",
-    "SolveOutcome",
-    "SolveStats",
-    "SubdivisionMap",
     "TooLargeError",
-    "binarize",
     "bits",
     "brute_min_fvs",
     "brute_min_ifvs",
     "brute_min_ifvs_extension",
     "compute_tables",
-    "contract_white_chains",
     "decide_prefix_chain",
     "direct_component_links",
     "dp_solve",
-    "dump_forest",
     "enumerate_candidates",
     "format_edgelist",
     "generate",

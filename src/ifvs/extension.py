@@ -3,14 +3,19 @@
 Given a graph ``g`` and an FVS ``f``, every subset of ``f`` that is
 independent and leaves an acyclic remainder is a *candidate* for the part
 of the solution inside ``f``.  For each candidate the minimum number of
-forest vertices to add is found by a dynamic program over the binarized
-forest on ``V - f``, with one table row per node indexed by subsets of
-the connected components of the undeleted part of ``f``:
+forest vertices to add is found by a dynamic program over the rooted
+forest on ``V - f``, with table rows indexed by subsets of the connected
+components of the undeleted part of ``f``:
 
-* ``keep[u][su]`` - cheapest way to solve ``u``'s subtree with the
-  vertex of ``u`` kept and its kept region linked to exactly the
-  component subset ``su``;
-* ``delete[u]`` - cheapest way with the vertex of ``u`` deleted.
+* ``keep[v][sv]`` - cheapest way to solve ``v``'s subtree with ``v``
+  kept and its kept region linked to exactly the component subset ``sv``;
+* ``delete[v]`` - cheapest way with ``v`` deleted.
+
+A vertex's keep row is built by folding its children in one at a time,
+left to right: a leaf's row holds only its direct links, the first child
+seeds the row, and each later child is merged in by splitting the
+subset between the row so far and the child.  The partial rows are kept,
+so the traceback can walk back from the last child to the first.
 
 Exact component-subset tracking prevents any cycle through a single kept
 region.  Two *different* kept regions (below a deleted vertex, or in
@@ -33,10 +38,10 @@ best total meets it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, TextIO
 
-from .binarize import BinaryForest, binarize, dump_forest, root_forest
 from .graph import Graph, bits, mask_of
 
 INFEASIBLE = math.inf
@@ -46,8 +51,58 @@ class NotAnFvsError(ValueError):
     """The provided set is not a feedback vertex set of the graph."""
 
 
-class InvalidForestError(ValueError):
-    """The binary forest does not match the graph/FVS pair."""
+class NotAForestError(ValueError):
+    """The supposed feedback vertex set leaves a cyclic remainder."""
+
+
+@dataclass(frozen=True)
+class RootedForest:
+    """The forest on ``V - f``, each tree rooted at its smallest vertex id.
+
+    ``order`` lists every forest vertex in breadth-first order, tree by
+    tree, so each parent comes before its children.
+    """
+
+    roots: tuple[int, ...]
+    parent: dict[int, int | None]
+    children: dict[int, tuple[int, ...]]
+    order: tuple[int, ...]
+
+
+def root_forest(g: Graph, f: int) -> RootedForest:
+    """Root each tree of the forest induced on ``V - f``.
+
+    Roots are the smallest vertex id per tree; children are ordered by
+    ascending vertex id.  Raises :class:`NotAForestError` if ``f`` is not
+    a feedback vertex set of ``g``.
+    """
+    if not g.is_fvs(f):
+        raise NotAForestError("deleting the given set leaves a cycle")
+    remaining = g.vertex_mask & ~f
+    parent: dict[int, int | None] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    roots: list[int] = []
+    order: list[int] = []
+    seen = 0
+    for r in bits(remaining):
+        if seen >> r & 1:
+            continue
+        roots.append(r)
+        parent[r] = None
+        seen |= 1 << r
+        queue = deque([r])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            kids = []
+            for u in bits(g.adj[v] & remaining):
+                if not seen >> u & 1:
+                    seen |= 1 << u
+                    parent[u] = v
+                    kids.append(u)
+            children[v] = tuple(kids)
+            queue.extend(kids)
+    return RootedForest(tuple(roots), parent, children, tuple(order))
 
 
 @dataclass(frozen=True)
@@ -75,7 +130,7 @@ class CandidateRecord:
     dp_cost: float = INFEASIBLE  # raw DP value, before the validity gate
     cost: float = INFEASIBLE  # exact extension cost (post gate/fallback)
     total_evals: int = 0
-    max_node_evals: int = 0
+    max_node_evals: int = 0  # largest count of one partial row
     fallback: bool = False
     fallback_tests: int = 0
     capped: bool = False
@@ -138,7 +193,7 @@ class DpSolveResult:
     fallback: bool
     fallback_tests: int
     capped: bool  # search stopped by the cost cap, no exact value
-    node_evals: tuple[int, ...]
+    row_evals: tuple[int, ...]
     total_evals: int
 
 
@@ -207,70 +262,50 @@ def direct_component_links(g: Graph, cand: Candidate, v: int) -> tuple[int, bool
     return linked, doubled
 
 
-class _ForestArrays:
-    """Flat views of a BinaryForest for the DP inner loops."""
-
-    __slots__ = ("white", "equal_to", "kids", "roots", "postorder", "tree_mask")
-
-    def __init__(self, h: BinaryForest):
-        self.white = tuple(nd.white for nd in h.nodes)
-        self.equal_to = tuple(nd.equal_to for nd in h.nodes)
-        self.kids = tuple(nd.children for nd in h.nodes)
-        self.roots = h.roots
-        self.tree_mask = mask_of(nd.equal_to for nd in h.nodes if not nd.white)
-        post: list[int] = []
-        for r in self.roots:
-            stack = [(r, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    post.append(node)
-                else:
-                    stack.append((node, True))
-                    for c in reversed(self.kids[node]):
-                        stack.append((c, False))
-        self.postorder = tuple(post)
-
-
 class DpTables:
     """Filled cost tables for one candidate, with cell-level traceback.
 
-    Traceback is deterministic: keep-options in ascending subset order
-    come before the delete option, and split options are inspected in
-    the order the forward pass evaluated them.
+    Tables are indexed by vertex id.  ``part[v][j]`` is forest vertex
+    ``v``'s keep row once its children ``0..j`` are folded in, so
+    ``part[v][-1]`` is the final row; a leaf, or a vertex that can never
+    be kept, has a single row.  ``row_evals`` holds one count per partial
+    row, in the order the rows were filled.
+
+    Traceback is deterministic: a later child's merge tries the splits in
+    ascending order before the option that deletes the child.
     """
 
-    __slots__ = ("arrays", "cand", "link", "keep", "delete", "min_keep", "node_evals")
+    __slots__ = ("forest", "cand", "link", "part", "delete", "min_keep", "row_evals")
 
-    def __init__(self, arrays, cand, link, keep, delete, min_keep, node_evals):
-        self.arrays = arrays
+    def __init__(self, forest, cand, link, part, delete, min_keep, row_evals):
+        self.forest = forest
         self.cand = cand
         self.link = link
-        self.keep = keep
+        self.part = part
         self.delete = delete
         self.min_keep = min_keep
-        self.node_evals = node_evals
+        self.row_evals = row_evals
 
     def best_for_root(self, r: int) -> float:
         return min(self.min_keep[r], self.delete[r])
 
-    def trace_keep(self, u: int, su: int) -> dict[int, bool]:
-        """Kept/deleted assignment below ``u`` for the cell ``keep[u][su]``."""
+    def trace_keep(self, v: int, sv: int, j: int = -1) -> dict[int, bool]:
+        """Kept/deleted assignment below ``v`` for the cell ``part[v][j][sv]``."""
         assign: dict[int, bool] = {}
-        self._trace([("keep", u, su)], assign)
+        self._trace([(v, j % len(self.part[v]), sv)], assign)
         return assign
 
-    def trace_delete(self, u: int) -> dict[int, bool]:
+    def trace_delete(self, v: int) -> dict[int, bool]:
         assign: dict[int, bool] = {}
-        self._trace([("del", u, 0)], assign)
+        self._trace([(v, None, 0)], assign)
         return assign
 
-    def _trace(self, stack: list[tuple[str, int, int]], assign: dict[int, bool]) -> None:
-        white = self.arrays.white
-        eq = self.arrays.equal_to
-        kids = self.arrays.kids
-        keep = self.keep
+    def _trace(self, stack: list[tuple[int, int | None, int]], assign: dict[int, bool]) -> None:
+        """Pop ``(v, j, sv)`` cells: ``part[v][j][sv]``, or ``delete[v]`` when ``j`` is None."""
+        kids = self.forest.children
+        part = self.part
         delete = self.delete
+        min_keep = self.min_keep
         link = self.link
 
         def mark(v: int, kept: bool) -> None:
@@ -280,293 +315,181 @@ class DpTables:
             elif prev != kept:
                 raise AssertionError("inconsistent keep/delete trace")
 
-        def argmin(row: list[float]) -> int:
-            return row.index(min(row))
-
         while stack:
-            op, u, su = stack.pop()
-            b = eq[u]
-            ch = kids[u]
-            if op == "keep":
-                mark(b, True)
-                val = keep[u][su]
-                if math.isinf(val):
+            v, j, sv = stack.pop()
+            ch = kids[v]
+            if j is None:
+                mark(v, False)
+                if math.isinf(delete[v]):
                     raise AssertionError("tracing an infeasible cell")
-                wu = link[b]
-                s = su & ~wu
-                if not ch:
-                    continue
-                if len(ch) == 1:
-                    c = ch[0]
-                    if white[c]:
-                        stack.append(("keep", c, su))
-                    elif s == 0:
-                        if keep[c][0] == val:
-                            stack.append(("keep", c, 0))
-                        else:
-                            stack.append(("del", c, 0))
-                    else:
-                        stack.append(("keep", c, s))
-                    continue
-                c1, c2 = ch
-                k1 = keep[c1]
-                k2 = keep[c2]
-                if white[u] and white[c1]:
-                    found = False
-                    a = 0
-                    while True:
-                        if k1[wu | a] + k2[s ^ a] == val:
-                            stack.append(("keep", c1, wu | a))
-                            stack.append(("keep", c2, s ^ a))
-                            found = True
-                            break
-                        if a == s:
-                            break
-                        a = (a - s) & s
-                    if not found:
-                        if k1[su] + delete[c2] != val:
-                            raise AssertionError("no option reproduces the table value")
-                        stack.append(("keep", c1, su))
-                        stack.append(("del", c2, 0))
+                # a deleted vertex leaves each child free to take its best row
+                for c in ch:
+                    stack.append((c, len(part[c]) - 1, part[c][-1].index(min_keep[c])))
+                continue
+            mark(v, True)
+            val = part[v][j][sv]
+            if math.isinf(val):
+                raise AssertionError("tracing an infeasible cell")
+            if not ch:
+                continue
+            c = ch[j]
+            kc = part[c][-1]
+            last = len(part[c]) - 1
+            wv = link[v]
+            s = sv & ~wv
+            if j == 0:
+                if s == 0 and kc[0] != val:
+                    stack.append((c, None, 0))
                 else:
-                    found = False
-                    a = 0
-                    while True:
-                        if k1[a] + k2[s ^ a] == val:
-                            stack.append(("keep", c1, a))
-                            stack.append(("keep", c2, s ^ a))
-                            found = True
-                            break
-                        if a == s:
-                            break
-                        a = (a - s) & s
-                    if not found:
-                        if k1[s] + delete[c2] == val:
-                            stack.append(("keep", c1, s))
-                            stack.append(("del", c2, 0))
-                        elif delete[c1] + k2[s] == val:
-                            stack.append(("del", c1, 0))
-                            stack.append(("keep", c2, s))
-                        elif s == 0 and delete[c1] + delete[c2] == val:
-                            stack.append(("del", c1, 0))
-                            stack.append(("del", c2, 0))
-                        else:
-                            raise AssertionError("no option reproduces the table value")
-            else:
-                mark(b, False)
-                if math.isinf(delete[u]):
-                    raise AssertionError("tracing an infeasible cell")
-                if not ch:
-                    continue
-                if len(ch) == 1:
-                    c = ch[0]
-                    if white[c]:
-                        stack.append(("del", c, 0))
-                    else:
-                        stack.append(("keep", c, argmin(keep[c])))
-                    continue
-                c1, c2 = ch
-                if white[u] and white[c1]:
-                    stack.append(("del", c1, 0))
-                    stack.append(("keep", c2, argmin(keep[c2])))
-                else:
-                    stack.append(("keep", c1, argmin(keep[c1])))
-                    stack.append(("keep", c2, argmin(keep[c2])))
+                    stack.append((c, last, s))
+                continue
+            prev = part[v][j - 1]
+            a = 0
+            while True:
+                if prev[wv | a] + kc[s ^ a] == val:
+                    stack.append((v, j - 1, wv | a))
+                    stack.append((c, last, s ^ a))
+                    break
+                if a == s:
+                    if prev[wv | s] + delete[c] != val:
+                        raise AssertionError("no option reproduces the table value")
+                    stack.append((v, j - 1, wv | s))
+                    stack.append((c, None, 0))
+                    break
+                a = (a - s) & s
 
 
-def _compute_tables(g: Graph, arrays: _ForestArrays, cand: Candidate) -> DpTables:
+def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables:
     """Fill the keep/delete tables bottom-up for one candidate.
 
-    ``node_evals[u]`` counts the (subset, split) evaluations spent on
-    node ``u``; nodes with one child or none count one evaluation per
-    reachable subset.
+    Each vertex's children are folded into its keep row left to right.
+    ``row_evals`` counts 1 for a leaf, one per subset for the row seeded
+    by the first child, and one per (subset, split) for every later
+    child's merge, so no row costs more than ``3**l``.
     """
-    white = arrays.white
-    eq = arrays.equal_to
-    kids = arrays.kids
-    nn = len(white)
+    kids = forest.children
     nstates = 1 << cand.l
     INF = INFEASIBLE
-
-    link: dict[int, int] = {}
-    dbl: dict[int, bool] = {}
-    for v in bits(arrays.tree_mask):
-        link[v], dbl[v] = direct_component_links(g, cand, v)
     forb = cand.forbidden
 
-    keep: list[list[float]] = [None] * nn  # type: ignore[list-item]
-    delete: list[float] = [INF] * nn
-    min_keep: list[float] = [INF] * nn
-    evals = [0] * nn
+    # indexed by vertex id; entries of fvs vertices stay unused
+    link = [0] * g.n
+    part: list[list[list[float]]] = [[]] * g.n
+    delete = [INF] * g.n
+    min_keep = [INF] * g.n
+    evals: list[int] = []
 
-    for u in arrays.postorder:
-        b = eq[u]
-        wu = link[b]
-        ch = kids[u]
-        row: list[float] = [INF] * nstates
-        row_min: float = INF
-        counted = 0
-        if not dbl[b]:
-            rest = (nstates - 1) & ~wu
-            if not ch:
-                # whites always get two children, so leaves are black
-                row[wu] = 0
-                row_min = 0
-                counted = 1
-            elif len(ch) == 1:
-                c = ch[0]
-                kc = keep[c]
-                if white[c]:
-                    # chain for the same vertex: adopt its table as-is
-                    row = list(kc)
-                    row_min = min_keep[c]
-                    counted = 1 << rest.bit_count()
-                else:
-                    dc = delete[c]
-                    s = 0
-                    while True:
-                        if s == 0:
-                            best = kc[0] if kc[0] < dc else dc
-                        else:
-                            best = kc[s]
-                        row[wu | s] = best
-                        if best < row_min:
-                            row_min = best
-                        counted += 1
-                        if s == rest:
-                            break
-                        s = (s - rest) & rest
-            else:
-                c1, c2 = ch
-                k1 = keep[c1]
-                k2 = keep[c2]
-                d1 = delete[c1]
-                d2 = delete[c2]
-                if white[u] and white[c1]:
-                    # c1 continues the same vertex and must stay kept
-                    s = 0
-                    while True:
-                        best = INF
-                        a = 0
-                        while True:
-                            v = k1[wu | a] + k2[s ^ a]
-                            counted += 1
-                            if v < best:
-                                best = v
-                            if a == s:
-                                break
-                            a = (a - s) & s
-                        v = k1[wu | s] + d2
-                        if v < best:
-                            best = v
-                        row[wu | s] = best
-                        if best < row_min:
-                            row_min = best
-                        if s == rest:
-                            break
-                        s = (s - rest) & rest
-                else:
-                    s = 0
-                    while True:
-                        best = INF
-                        a = 0
-                        while True:
-                            v = k1[a] + k2[s ^ a]
-                            counted += 1
-                            if v < best:
-                                best = v
-                            if a == s:
-                                break
-                            a = (a - s) & s
-                        v = k1[s] + d2
-                        if v < best:
-                            best = v
-                        v = d1 + k2[s]
-                        if v < best:
-                            best = v
-                        if s == 0:
-                            v = d1 + d2
-                            if v < best:
-                                best = v
-                        row[wu | s] = best
-                        if best < row_min:
-                            row_min = best
-                        if s == rest:
-                            break
-                        s = (s - rest) & rest
-        keep[u] = row
-        min_keep[u] = row_min
-        evals[u] = counted
-
-        if forb >> b & 1:
-            delete[u] = INF  # deleting a neighbor of the chosen fvs part
-        elif not ch:
-            delete[u] = 1
-        elif len(ch) == 1:
-            c = ch[0]
-            delete[u] = delete[c] if white[c] else min_keep[c] + 1
+    for v in reversed(forest.order):
+        wv, doubled = direct_component_links(g, cand, v)
+        link[v] = wv
+        ch = kids[v]
+        if doubled or not ch:
+            row: list[float] = [INF] * nstates
+            if not doubled:
+                row[wv] = 0
+            # with two edges into one component, keeping v closes a cycle
+            rows = [row]
+            evals.append(0 if doubled else 1)
         else:
-            c1, c2 = ch
-            if white[u] and white[c1]:
-                delete[u] = delete[c1] + min_keep[c2]
+            rest = (nstates - 1) & ~wv
+            r = rest.bit_count()
+            # first child: kept with its own subset, or deleted
+            c = ch[0]
+            kc = part[c][-1]
+            if wv:
+                row = [INF] * nstates
+                s = 0
+                while True:
+                    row[wv | s] = kc[s]
+                    if s == rest:
+                        break
+                    s = (s - rest) & rest
             else:
-                # a deleted vertex forces both original children to stay
-                delete[u] = min_keep[c1] + min_keep[c2] + 1
+                row = kc.copy()  # no direct links: every subset is the child's
+            if delete[c] < row[wv]:
+                row[wv] = delete[c]
+            rows = [row]
+            evals.append(1 << r)
+            for c in ch[1:]:
+                kc = part[c][-1]
+                dc = delete[c]
+                prev = row
+                row = [INF] * nstates
+                s = 0
+                while True:
+                    best = INF
+                    a = 0
+                    while True:
+                        x = prev[wv | a] + kc[s ^ a]
+                        if x < best:
+                            best = x
+                        if a == s:
+                            break
+                        a = (a - s) & s
+                    x = prev[wv | s] + dc
+                    if x < best:
+                        best = x
+                    row[wv | s] = best
+                    if s == rest:
+                        break
+                    s = (s - rest) & rest
+                rows.append(row)
+                evals.append(3**r)
+        part[v] = rows
+        min_keep[v] = min(row)
+        if forb >> v & 1:
+            delete[v] = INF  # deleting a neighbor of the chosen fvs part
+        else:
+            # a deleted vertex forces its children to stay
+            cost = 1
+            for c in ch:
+                cost += min_keep[c]
+            delete[v] = cost
 
-    return DpTables(arrays, cand, link, keep, delete, min_keep, tuple(evals))
+    return DpTables(forest, cand, link, part, delete, min_keep, tuple(evals))
 
 
 def _run_dp(
     g: Graph,
-    arrays: _ForestArrays,
+    forest: RootedForest,
     cand: Candidate,
     want_tables: bool,
     cap: float = INFEASIBLE,
 ):
     """Tables plus one optimal root-level assignment per tree.
 
-    Returns ``(cost, extension_mask, node_evals, tables)``;
+    Returns ``(cost, extension_mask, row_evals, tables)``;
     ``extension_mask`` is None when some tree admits no assignment at
     all (cost INFEASIBLE) or when the cost is not below ``cap``, in which
     case the traceback is skipped.
     """
-    tables = _compute_tables(g, arrays, cand)
+    tables = _compute_tables(g, forest, cand)
     total: float = 0
-    for r in arrays.roots:
+    for r in forest.roots:
         total += tables.best_for_root(r)
     if not total < cap:
-        return total, None, tables.node_evals, tables if want_tables else None
+        return total, None, tables.row_evals, tables if want_tables else None
 
     assign: dict[int, bool] = {}
-    ops = []
-    for r in arrays.roots:
+    ops: list[tuple[int, int | None, int]] = []
+    for r in forest.roots:
         best = tables.best_for_root(r)
         if tables.min_keep[r] == best:
-            ops.append(("keep", r, tables.keep[r].index(best)))
+            rows = tables.part[r]
+            ops.append((r, len(rows) - 1, rows[-1].index(best)))
         else:
-            ops.append(("del", r, 0))
+            ops.append((r, None, 0))
     tables._trace(ops, assign)
 
     extension = mask_of(v for v, kept in assign.items() if not kept)
     if extension.bit_count() != total:
         raise AssertionError("trace cost disagrees with the table optimum")
-    return int(total), extension, tables.node_evals, tables if want_tables else None
+    return int(total), extension, tables.row_evals, tables if want_tables else None
 
 
-def compute_tables(g: Graph, f: int, candidate: Candidate, h: BinaryForest) -> DpTables:
-    """Run the DP for one candidate and expose the raw tables."""
-    _check_forest(g, f, h)
-    return _compute_tables(g, _ForestArrays(h), candidate)
-
-
-def _check_forest(g: Graph, f: int, h: BinaryForest) -> None:
-    tree_mask = g.vertex_mask & ~f
-    for nd in h.nodes:
-        if not tree_mask >> nd.equal_to & 1:
-            raise InvalidForestError(
-                f"forest node {nd.node_id} stands for vertex {nd.equal_to}, "
-                "which is not outside the FVS"
-            )
+def compute_tables(g: Graph, f: int, candidate: Candidate) -> DpTables:
+    """Run the DP for one candidate of ``f`` and expose the raw tables."""
+    return _compute_tables(g, root_forest(g, f), candidate)
 
 
 def _find_cycle(g: Graph, live: int) -> tuple[int, ...] | None:
@@ -677,7 +600,6 @@ def dp_solve(
     g: Graph,
     f: int,
     candidate: Candidate,
-    h: BinaryForest,
     *,
     cost_cap: float = INFEASIBLE,
 ) -> DpSolveResult:
@@ -689,10 +611,8 @@ def dp_solve(
     exists.  With a finite ``cost_cap`` the search may stop early once a
     result could no longer beat the cap (flagged via ``capped``).
     """
-    _check_forest(g, f, h)
-    arrays = _ForestArrays(h)
-    cost, extension, node_evals, _ = _run_dp(g, arrays, candidate, False)
-    total_evals = sum(node_evals)
+    cost, extension, row_evals, _ = _run_dp(g, root_forest(g, f), candidate, False)
+    total_evals = sum(row_evals)
     if extension is None:
         # the tables only ever under-count, so an infeasible DP is final
         return DpSolveResult(
@@ -702,7 +622,7 @@ def dp_solve(
             fallback=False,
             fallback_tests=0,
             capped=False,
-            node_evals=node_evals,
+            row_evals=row_evals,
             total_evals=total_evals,
         )
     if g.is_ifvs(candidate.fvs_part | extension):
@@ -713,13 +633,13 @@ def dp_solve(
             fallback=False,
             fallback_tests=0,
             capped=False,
-            node_evals=node_evals,
+            row_evals=row_evals,
             total_evals=total_evals,
         )
     # distinct kept regions linked the same component pair; fall back to
     # an exact bounded search for this candidate
     size, ext, tests, capped = _fallback_search(
-        g, candidate, arrays.tree_mask, int(cost), cost_cap
+        g, candidate, g.vertex_mask & ~f, int(cost), cost_cap
     )
     return DpSolveResult(
         cost=INFEASIBLE if size is None else size,
@@ -728,22 +648,19 @@ def dp_solve(
         fallback=True,
         fallback_tests=tests,
         capped=capped,
-        node_evals=node_evals,
+        row_evals=row_evals,
         total_evals=total_evals,
     )
 
 
-def _format_tables(arrays: _ForestArrays, tables: DpTables) -> str:
+def _format_tables(tables: DpTables) -> str:
     out = []
-    for u in range(len(arrays.white)):
-        color = "white" if arrays.white[u] else "black"
+    for v in sorted(tables.forest.order):
         cells = " ".join(
-            "-" if math.isinf(c) else str(int(c)) for c in tables.keep[u]
+            "-" if math.isinf(c) else str(int(c)) for c in tables.part[v][-1]
         )
-        dval = "-" if math.isinf(tables.delete[u]) else str(int(tables.delete[u]))
-        out.append(
-            f"    node {u} {color} v={arrays.equal_to[u]} keep=[{cells}] del={dval}"
-        )
+        dval = "-" if math.isinf(tables.delete[v]) else str(int(tables.delete[v]))
+        out.append(f"    vertex {v} keep=[{cells}] del={dval}")
     return "\n".join(out)
 
 
@@ -752,7 +669,6 @@ def min_ifvs_given_fvs(
     f: int,
     *,
     lower: int = 0,
-    threads: int = 1,
     trace: TextIO | None = None,
 ) -> ExtensionOutcome:
     """Minimum independent feedback vertex set of ``g``, given an FVS ``f``.
@@ -762,16 +678,12 @@ def min_ifvs_given_fvs(
     pruned, and keeps the cheapest assembled solution (ties go to the
     earlier candidate).  ``lower`` must not exceed the optimum, such as
     the optimum of an induced subgraph; the scan stops once the best
-    total equals it.  ``threads`` is accepted for compatibility and has
-    no effect: the pruned scan is sequential.  Reports absence when every
-    candidate is infeasible.  Raises :class:`NotAnFvsError` when ``f`` is
-    not an FVS.
+    total equals it.  Reports absence when every candidate is
+    infeasible.  Raises :class:`NotAnFvsError` when ``f`` is not an FVS.
     """
     if not g.is_fvs(f):
         raise NotAnFvsError("the provided set is not a feedback vertex set")
     forest = root_forest(g, f)
-    h = binarize(forest)
-    arrays = _ForestArrays(h)
     want_tables = trace is not None and g.n <= 10
 
     stats = ExtensionStats()
@@ -805,14 +717,14 @@ def min_ifvs_given_fvs(
         if best_total <= lower or cand.size >= best_total:
             rec.pruned = True
             continue
-        cost, extension, node_evals, tables = _run_dp(
-            g, arrays, cand, want_tables, best_total - cand.size
+        cost, extension, row_evals, tables = _run_dp(
+            g, forest, cand, want_tables, best_total - cand.size
         )
         rec.dp_cost = cost
-        rec.total_evals = sum(node_evals)
-        rec.max_node_evals = max(node_evals, default=0)
+        rec.total_evals = sum(row_evals)
+        rec.max_node_evals = max(row_evals, default=0)
         if tables is not None:
-            trace_tables[cand.fvs_part] = _format_tables(arrays, tables)
+            trace_tables[cand.fvs_part] = _format_tables(tables)
         if extension is None:
             # infeasible, or the DP's lower bound cannot beat the best
             rec.pruned = not math.isinf(cost)
@@ -833,7 +745,7 @@ def min_ifvs_given_fvs(
             continue
         rec.fallback = True
         size, ext, tests, capped = _fallback_search(
-            g, cand, arrays.tree_mask, bound - cand.size, best_total - cand.size
+            g, cand, g.vertex_mask & ~f, bound - cand.size, best_total - cand.size
         )
         rec.fallback_tests = tests
         rec.capped = capped
@@ -844,8 +756,11 @@ def min_ifvs_given_fvs(
         best_cert = cand.fvs_part | ext  # type: ignore[operator]
 
     if trace is not None:
-        trace.write(f"forest nodes ({h.black_count} black, {h.white_count} white):\n")
-        trace.write(dump_forest(h))
+        trace.write(f"forest nodes ({len(forest.order)} vertices, v parent [children]):\n")
+        for v in sorted(forest.order):
+            par = forest.parent[v]
+            ch = " ".join(str(c) for c in forest.children[v])
+            trace.write(f"{v} {'-' if par is None else par} [{ch}]\n")
         for rec in stats.records:
             members = "{" + ",".join(str(v) for v in bits(rec.fvs_part)) + "}"
             if rec.accepted:

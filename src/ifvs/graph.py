@@ -33,9 +33,9 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """A simple undirected graph on vertices ``0..n-1``.
 
-    Instances are immutable after construction and safe to share across
-    worker threads.  ``adj[v]`` is the neighbor bitmask of vertex ``v``;
-    ``edges`` is the canonical sorted tuple of ``(min, max)`` pairs.
+    Instances are immutable after construction.  ``adj[v]`` is the
+    neighbor bitmask of vertex ``v``; ``edges`` is the canonical sorted
+    tuple of ``(min, max)`` pairs.
     """
 
     __slots__ = ("n", "m", "adj", "edges")

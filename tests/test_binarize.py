@@ -1,23 +1,16 @@
-import random
+"""Rooting of the forest left after deleting an FVS."""
 
 import pytest
 
-from conftest import cycle, path, random_graph, star
-from ifvs import (
-    NotAForestError,
-    binarize,
-    brute_min_fvs,
-    contract_white_chains,
-    dump_forest,
-    mask_of,
-    root_forest,
-)
+from conftest import cycle, path
+from ifvs import NotAForestError, mask_of, root_forest
 
 
 def test_root_forest_path():
     rf = root_forest(path(3), 0)
     assert rf.roots == (0,)
     assert rf.children[0] == (1,) and rf.children[1] == (2,) and rf.children[2] == ()
+    assert rf.order == (0, 1, 2)
 
 
 def test_root_forest_c4_minus_vertex():
@@ -29,111 +22,3 @@ def test_root_forest_c4_minus_vertex():
 def test_root_forest_rejects_cyclic_remainder():
     with pytest.raises(NotAForestError):
         root_forest(cycle(4), 0)
-
-
-def test_binarize_leaves_small_arity_untouched():
-    h = binarize(root_forest(star(2), 0))
-    assert h.white_count == 0
-    assert h.nodes[0].children == (1, 2)
-
-
-def test_binarize_star_five_children():
-    h = binarize(root_forest(star(5), 0))
-    assert h.black_count == 6 and h.white_count == 4
-    root = h.nodes[0]
-    assert not root.white and len(root.children) == 1
-    top = h.nodes[root.children[0]]
-    assert top.white and top.equal_to == 0
-    # bottom of the chain adopts the first two children
-    chain = [top]
-    while h.nodes[chain[-1].children[0]].white:
-        chain.append(h.nodes[chain[-1].children[0]])
-    bottom = chain[-1]
-    assert len(chain) == 4
-    kids = [h.nodes[c].equal_to for c in bottom.children]
-    assert kids == [1, 2]
-
-
-def test_binarize_three_children_pattern():
-    h = binarize(root_forest(star(3), 0))
-    assert h.white_count == 2
-    root = h.nodes[0]
-    (w_top,) = root.children
-    top = h.nodes[w_top]
-    assert top.white and top.equal_to == 0
-    w_bottom, c3 = top.children
-    assert h.nodes[w_bottom].white and h.nodes[c3].equal_to == 3
-    assert [h.nodes[c].equal_to for c in h.nodes[w_bottom].children] == [1, 2]
-
-
-def _random_graph_with_fvs(rng):
-    g = random_graph(rng, n_max=12)
-    _, cert = brute_min_fvs(g)
-    f = mask_of(cert)
-    # sometimes grow the fvs beyond the minimum; the bounds must hold anyway
-    for v in range(g.n):
-        if not f >> v & 1 and rng.random() < 0.15:
-            f |= 1 << v
-    return g, f
-
-
-def test_binarize_invariants_random():
-    rng = random.Random(21)
-    for _ in range(500):
-        g, f = _random_graph_with_fvs(rng)
-        rf = root_forest(g, f)
-        h = binarize(rf)
-        p = g.n - f.bit_count()
-        assert h.black_count == p
-        expected_whites = sum(
-            len(ch) - 1 for ch in rf.children.values() if len(ch) > 2
-        )
-        assert h.white_count == expected_whites
-        assert h.white_count <= 2 * p
-        assert len(h) <= 3 * p
-        for node in h.nodes:
-            assert len(node.children) <= 2
-            if node.white:
-                assert len(node.children) == 2
-        # round trip: contracting the white chains restores the forest
-        assert contract_white_chains(h) == rf
-
-
-def test_subtree_leaf_sets_preserved():
-    rng = random.Random(22)
-    for _ in range(100):
-        g, f = _random_graph_with_fvs(rng)
-        rf = root_forest(g, f)
-        h = binarize(rf)
-
-        def original_leaves(v):
-            out, stack = set(), [v]
-            while stack:
-                x = stack.pop()
-                ch = rf.children[x]
-                if not ch:
-                    out.add(x)
-                stack.extend(ch)
-            return out
-
-        def h_leaves(nid):
-            out, stack = set(), [nid]
-            while stack:
-                x = stack.pop()
-                ch = h.nodes[x].children
-                if not ch:
-                    out.add(h.nodes[x].equal_to)
-                stack.extend(ch)
-            return out
-
-        for node in h.nodes:
-            if not node.white:
-                assert h_leaves(node.node_id) == original_leaves(node.equal_to)
-
-
-def test_dump_format():
-    h = binarize(root_forest(path(3), 0))
-    lines = dump_forest(h).splitlines()
-    assert lines[0] == "0 black 0 - [1]"
-    assert lines[1] == "1 black 1 0 [2]"
-    assert lines[2] == "2 black 2 1 []"

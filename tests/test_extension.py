@@ -15,9 +15,7 @@ from conftest import (
 from ifvs import (
     Graph,
     INFEASIBLE,
-    InvalidForestError,
     NotAnFvsError,
-    binarize,
     bits,
     brute_min_fvs,
     brute_min_ifvs,
@@ -82,43 +80,32 @@ def test_direct_component_links():
 def test_dp_solve_c4():
     g = cycle(4)
     f = mask_of([0])
-    h = binarize(root_forest(g, f))
     empty, single = _candidates(g, f)
-    res = dp_solve(g, f, empty, h)
+    res = dp_solve(g, f, empty)
     # one deletion on the path 1-2-3; this tie-break keeps the root side
     assert res.cost == 1 and res.extension == mask_of([3])
     assert g.is_ifvs(empty.fvs_part | res.extension)
-    res = dp_solve(g, f, single, h)
+    res = dp_solve(g, f, single)
     assert res.cost == 0 and res.extension == 0
 
 
 def test_dp_solve_triangle_choice_inside_fvs():
     g = cycle(3)
     f = mask_of([0])
-    h = binarize(root_forest(g, f))
     chosen = _candidates(g, f)[1]
     assert chosen.fvs_part == mask_of([0])
-    res = dp_solve(g, f, chosen, h)
+    res = dp_solve(g, f, chosen)
     assert res.cost == 0 and res.extension == 0
 
 
 def test_dp_solve_k4_all_candidates_infeasible():
     g = complete(4)
     f = mask_of([0, 1])
-    h = binarize(root_forest(g, f))
     cands = _candidates(g, f)
     assert cands  # the empty choice is admissible here
     for cand in cands:
-        res = dp_solve(g, f, cand, h)
+        res = dp_solve(g, f, cand)
         assert res.cost == INFEASIBLE and res.extension is None
-
-
-def test_dp_solve_rejects_foreign_forest():
-    g = cycle(4)
-    h = binarize(root_forest(g, mask_of([0])))
-    cand = _candidates(g, mask_of([0]))[0]
-    with pytest.raises(InvalidForestError):
-        dp_solve(g, mask_of([1]), cand, h)
 
 
 def test_min_ifvs_given_fvs_examples():
@@ -152,18 +139,18 @@ def test_exactness_against_oracle_random():
             assert g.is_ifvs(mask_of(out.certificate))
 
 
-def test_threads_agree_with_serial():
+def test_repeated_calls_agree():
     rng = random.Random(32)
     for _ in range(40):
         g = random_graph(rng, n_max=11)
         _, fcert = brute_min_fvs(g)
         f = mask_of(fcert)
-        serial = min_ifvs_given_fvs(g, f)
-        pooled = min_ifvs_given_fvs(g, f, threads=8)
-        assert serial.size == pooled.size
-        assert serial.certificate == pooled.certificate
-        assert serial.stats.dp_cells == pooled.stats.dp_cells
-        assert serial.stats.fallbacks == pooled.stats.fallbacks
+        first = min_ifvs_given_fvs(g, f)
+        again = min_ifvs_given_fvs(g, f)
+        assert first.size == again.size
+        assert first.certificate == again.certificate
+        assert first.stats.dp_cells == again.stats.dp_cells
+        assert first.stats.fallbacks == again.stats.fallbacks
 
 
 def test_gate_fixtures_match_oracle():
@@ -183,12 +170,11 @@ def test_gate_fires_on_cross_tree_and_forced_fixtures():
 
 def test_dp_solve_cost_cap():
     g, f = gate_forced_fallback()
-    h = binarize(root_forest(g, f))
     empty = _candidates(g, f)[0]
-    res = dp_solve(g, f, empty, h)
+    res = dp_solve(g, f, empty)
     # the empty choice admits no extension at all for this instance
     assert res.fallback and res.cost == INFEASIBLE and not res.capped
-    res = dp_solve(g, f, empty, h, cost_cap=1)
+    res = dp_solve(g, f, empty, cost_cap=1)
     assert res.fallback and res.capped and res.cost == INFEASIBLE
 
 
@@ -227,35 +213,41 @@ def test_per_node_split_budget():
                 assert rec.max_node_evals <= 3 ** rec.l
 
 
-def _cell_scope_checks(g, f, cand, tables, h):
-    """Every finite keep cell decodes to a region that reaches exactly its
-    subset and stays acyclic together with those components."""
+def _cell_scope_checks(g, f, cand, tables):
+    """Every finite cell of every partial keep row decodes to a region
+    that reaches exactly its subset and stays acyclic together with those
+    components."""
     comp_masks = cand.comp_masks
-    for u, node in enumerate(h.nodes):
-        row = tables.keep[u]
-        wu = tables.link[node.equal_to]
-        for su, val in enumerate(row):
-            if math.isinf(val):
-                continue
-            assert su & wu == wu  # reachable subsets carry the direct links
-            assign = tables.trace_keep(u, su)
-            assert assign[node.equal_to] is True
-            assert sum(1 for kept in assign.values() if not kept) == val
-            kept_mask = mask_of(v for v, kept in assign.items() if kept)
-            region = next(
-                c
-                for c in g.components_within(kept_mask)
-                if c >> node.equal_to & 1
-            )
-            attached = g.neighbors(region)
-            reached = {
-                i for i, cm in enumerate(comp_masks) if attached & cm
-            }
-            assert reached == set(bits(su))
-            scope = region
-            for i in bits(su):
-                scope |= comp_masks[i]
-            assert g.is_forest_within(scope)
+    for v in tables.forest.order:
+        wv = tables.link[v]
+        for j, row in enumerate(tables.part[v]):
+            for sv, val in enumerate(row):
+                if not math.isinf(val):
+                    _check_keep_cell(g, comp_masks, tables, v, j, sv, wv, val)
+
+
+def _check_keep_cell(g, comp_masks, tables, v, j, sv, wv, val):
+    assert sv & wv == wv  # reachable subsets carry the direct links
+    assign = tables.trace_keep(v, sv, j)
+    assert assign[v] is True
+    # the partial row covers v and the subtrees of its children 0..j
+    covered = {v}
+    stack = list(tables.forest.children[v][: j + 1])
+    while stack:
+        c = stack.pop()
+        covered.add(c)
+        stack.extend(tables.forest.children[c])
+    assert set(assign) == covered
+    assert sum(1 for kept in assign.values() if not kept) == val
+    kept_mask = mask_of(u for u, kept in assign.items() if kept)
+    region = next(c for c in g.components_within(kept_mask) if c >> v & 1)
+    attached = g.neighbors(region)
+    reached = {i for i, cm in enumerate(comp_masks) if attached & cm}
+    assert reached == set(bits(sv))
+    scope = region
+    for i in bits(sv):
+        scope |= comp_masks[i]
+    assert g.is_forest_within(scope)
 
 
 def test_keep_cell_semantics_small_corpus():
@@ -267,30 +259,30 @@ def test_keep_cell_semantics_small_corpus():
             continue
         _, fcert = brute_min_fvs(g)
         f = mask_of(fcert)
-        h = binarize(root_forest(g, f))
         for cand in enumerate_candidates(g, f):
-            tables = compute_tables(g, f, cand, h)
-            _cell_scope_checks(g, f, cand, tables, h)
+            tables = compute_tables(g, f, cand)
+            _cell_scope_checks(g, f, cand, tables)
         done += 1
 
 
 def test_keep_rows_infeasible_below_direct_links():
-    # subsets missing a directly linked component are never reachable
+    # subsets missing a directly linked component are never reachable,
+    # in any partial row
     rng = random.Random(36)
     for _ in range(60):
         g = random_graph(rng, n_max=9)
         _, fcert = brute_min_fvs(g)
         f = mask_of(fcert)
-        h = binarize(root_forest(g, f))
         for cand in enumerate_candidates(g, f):
-            tables = compute_tables(g, f, cand, h)
-            for u, node in enumerate(h.nodes):
-                wu = tables.link[node.equal_to]
-                for su, val in enumerate(tables.keep[u]):
-                    if su & wu != wu:
-                        assert math.isinf(val)
-                if cand.forbidden >> node.equal_to & 1:
-                    assert math.isinf(tables.delete[u])
+            tables = compute_tables(g, f, cand)
+            for v in tables.forest.order:
+                wv = tables.link[v]
+                for row in tables.part[v]:
+                    for sv, val in enumerate(row):
+                        if sv & wv != wv:
+                            assert math.isinf(val)
+                if cand.forbidden >> v & 1:
+                    assert math.isinf(tables.delete[v])
 
 
 def test_dp_solve_per_candidate_exactness():
@@ -299,7 +291,7 @@ def test_dp_solve_per_candidate_exactness():
     import math
     from itertools import combinations as combos
 
-    from ifvs.extension import _ForestArrays, _run_dp
+    from ifvs.extension import _run_dp
 
     rng = random.Random(99)
     checked = 0
@@ -309,8 +301,7 @@ def test_dp_solve_per_candidate_exactness():
             continue
         _, fcert = brute_min_fvs(g)
         f = mask_of(fcert)
-        h = binarize(root_forest(g, f))
-        arrays = _ForestArrays(h)
+        forest = root_forest(g, f)
         tree = [v for v in range(g.n) if not f >> v & 1]
         for cand in enumerate_candidates(g, f):
             true_min = None
@@ -321,8 +312,8 @@ def test_dp_solve_per_candidate_exactness():
                         break
                 if true_min is not None:
                     break
-            raw_cost, _, _, _ = _run_dp(g, arrays, cand, False)
-            exact = dp_solve(g, f, cand, h)
+            raw_cost, _, _, _ = _run_dp(g, forest, cand, False)
+            exact = dp_solve(g, f, cand)
             if true_min is None:
                 assert math.isinf(exact.cost)
             else:
@@ -333,8 +324,9 @@ def test_dp_solve_per_candidate_exactness():
 
 
 def test_high_degree_trees_match_oracle():
-    # preferential-attachment trees force long white chains; wiring a few
-    # extra fvs vertices into them exercises chain cells with components
+    # preferential-attachment trees give vertices many children; wiring a
+    # few extra fvs vertices into them exercises later-child merges with
+    # components
     rng = random.Random(37)
     checked = 0
     while checked < 120:
@@ -368,7 +360,10 @@ def test_trace_output():
     sink = io.StringIO()
     min_ifvs_given_fvs(cycle(4), mask_of([0]), trace=sink)
     text = sink.getvalue()
-    assert "forest nodes" in text
+    lines = text.splitlines()
+    # the forest left by {0}: one "v parent [children]" line per vertex
+    assert lines[0].startswith("forest nodes")
+    assert lines[1:4] == ["1 - [2]", "2 1 [3]", "3 2 []"]
     assert "candidate {} accepted" in text
     assert "candidate {0} accepted" in text
     assert "keep=[" in text

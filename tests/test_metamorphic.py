@@ -1,0 +1,75 @@
+"""Metamorphic properties of the optimum, on graphs drawn around hubs.
+
+Each graph grows a tree whose first vertex has at least three children,
+then adds a few extra edges to close cycles.  Forest vertices with three
+or more children are where the DP folds a child into a row that already
+holds two, so these draws exercise the later-child merges.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ifvs import Graph, solve_fvs, solve_ifvs, subdivide
+
+
+@st.composite
+def hub_graphs(draw, max_n: int = 10):
+    n = draw(st.integers(4, max_n))
+    edges = {(0, v) for v in (1, 2, 3)}
+    for v in range(4, n):
+        edges.add((draw(st.integers(0, v - 1)), v))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n // 2 + 2)))
+    return Graph(n, sorted(edges))
+
+
+def optimum(g: Graph, seed: int | None = None) -> int | None:
+    """Minimum IFVS size of ``g``, or None when it has no IFVS."""
+    out = solve_ifvs(g, g.n, seed=seed)
+    if out.decision == "absent":
+        return None
+    assert out.decision == "yes"
+    return len(out.certificate)
+
+
+def union(g: Graph, h: Graph) -> Graph:
+    shifted = [(u + g.n, v + g.n) for u, v in h.edges]
+    return Graph(g.n + h.n, list(g.edges) + shifted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relabelling_and_seed_keep_the_optimum(data):
+    g = data.draw(hub_graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    seed = data.draw(st.integers(0, 2**16))
+    want = optimum(g)
+    assert optimum(relabelled) == want
+    assert optimum(g, seed=seed) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_isolated_vertex_and_pendant_leaf_keep_the_optimum(data):
+    g = data.draw(hub_graphs())
+    anchor = data.draw(st.integers(0, g.n - 1))
+    want = optimum(g)
+    assert optimum(Graph(g.n + 1, g.edges)) == want
+    assert optimum(Graph(g.n + 1, list(g.edges) + [(anchor, g.n)])) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_graphs(max_n=8), hub_graphs(max_n=8))
+def test_disjoint_union_adds_the_optima(g, h):
+    a, b = optimum(g), optimum(h)
+    want = None if a is None or b is None else a + b
+    assert optimum(union(g, h)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_graphs(max_n=8))
+def test_fvs_optimum_equals_ifvs_optimum_of_the_subdivision(g):
+    out = solve_fvs(g, g.n)
+    assert out.decision == "yes"
+    assert len(out.certificate) == optimum(subdivide(g)[0])
