@@ -76,6 +76,7 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
                 "candidates": stats.candidates,
                 "dp_cells": stats.dp_cells,
                 "fallbacks": stats.fallbacks,
+                "fallback_tests": stats.fallback_tests,
                 "pruned": stats.pruned,
                 "skipped": stats.skipped,
             },
@@ -87,6 +88,7 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
                     "candidates": s.candidates,
                     "dp_cells": s.dp_cells,
                     "fallbacks": s.fallbacks,
+                    "fallback_tests": s.fallback_tests,
                     "pruned": s.pruned,
                     "skipped": s.skipped,
                 }
@@ -103,7 +105,8 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
             lines.append(f"certificate ({len(outcome.certificate)}): {ids}")
         counters = (
             f"candidates: {stats.candidates}  dp_cells: {stats.dp_cells}  "
-            f"fallbacks: {stats.fallbacks}  pruned: {stats.pruned}  "
+            f"fallbacks: {stats.fallbacks}  fallback_tests: {stats.fallback_tests}  "
+            f"pruned: {stats.pruned}  "
             f"skipped: {stats.skipped}"
         )
         if not args.no_timing:

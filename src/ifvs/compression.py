@@ -35,6 +35,7 @@ class StepRecord:
     candidates: int
     dp_cells: int
     fallbacks: int
+    fallback_tests: int = 0  # search nodes of those fallback searches
     pruned: int = 0  # candidates the extension stage pruned
     skipped: bool = False  # no cycle closed, the old optimum carried over
 
@@ -184,6 +185,7 @@ def solve_ifvs(
                 candidates=ext.candidates_scanned,
                 dp_cells=ext.dp_cells,
                 fallbacks=ext.fallbacks,
+                fallback_tests=ext.fallback_tests,
                 pruned=ext.pruned,
             )
         )
@@ -192,7 +194,8 @@ def solve_ifvs(
             progress(
                 f"step {size}: {size} vertices, fvs = {fvs_size}, min = {shown}, "
                 f"candidates = {ext.candidates_scanned}, pruned = {ext.pruned}, "
-                f"cells = {ext.dp_cells}"
+                f"cells = {ext.dp_cells}, fallbacks = {ext.fallbacks}, "
+                f"fallback_tests = {ext.fallback_tests}"
             )
         if outcome.absent:
             decision = "absent"

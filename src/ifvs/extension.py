@@ -359,6 +359,35 @@ class DpTables:
                 a = (a - s) & s
 
 
+def _link_rows(g: Graph, cand: Candidate) -> tuple[list[int], int]:
+    """Every forest vertex's :func:`direct_component_links`, at once.
+
+    Returns ``(link, doubled)``: ``link[v]`` is the component bitmask of
+    forest vertex ``v`` (0 for fvs vertices), and ``doubled`` is the mask
+    of forest vertices with two or more edges into one component.  Only
+    the components' neighbourhoods are visited.
+    """
+    adj = g.adj
+    link = [0] * g.n
+    doubled = 0
+    for i, cm in enumerate(cand.comp_masks):
+        once = twice = 0
+        while cm:
+            low = cm & -cm
+            nb = adj[low.bit_length() - 1]
+            twice |= once & nb
+            once |= nb
+            cm ^= low
+        doubled |= twice
+        once &= ~cand.fvs
+        bit = 1 << i
+        while once:
+            low = once & -once
+            link[low.bit_length() - 1] |= bit
+            once ^= low
+    return link, doubled & ~cand.fvs
+
+
 def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables:
     """Fill the keep/delete tables bottom-up for one candidate.
 
@@ -373,15 +402,15 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
     forb = cand.forbidden
 
     # indexed by vertex id; entries of fvs vertices stay unused
-    link = [0] * g.n
+    link, dbl = _link_rows(g, cand)
     part: list[list[list[float]]] = [[]] * g.n
     delete = [INF] * g.n
     min_keep = [INF] * g.n
     evals: list[int] = []
 
     for v in reversed(forest.order):
-        wv, doubled = direct_component_links(g, cand, v)
-        link[v] = wv
+        wv = link[v]
+        doubled = dbl >> v & 1
         ch = kids[v]
         if doubled or not ch:
             row: list[float] = [INF] * nstates
@@ -492,38 +521,58 @@ def compute_tables(g: Graph, f: int, candidate: Candidate) -> DpTables:
     return _compute_tables(g, root_forest(g, f), candidate)
 
 
-def _find_cycle(g: Graph, live: int) -> tuple[int, ...] | None:
-    """Some cycle of the subgraph induced on ``live``, or None.
+def _strip(adj: tuple[int, ...], core: int, todo: int) -> int:
+    """Strip from ``core`` the vertices left with at most one neighbour in it.
 
-    Deterministic: strips to the part where every vertex lies on a
-    cycle, then BFS from the smallest remaining vertex until an edge
+    Only the vertices of ``todo`` are tested, plus the neighbours of each
+    vertex removed.  With ``todo`` equal to ``core`` this gives the 2-core
+    of ``core``.  When ``core`` is a 2-core minus one vertex ``v``, ``v``'s
+    former neighbours are the only vertices whose degree dropped, so
+    ``todo = adj[v] & core`` gives the 2-core of ``core`` too.
+    """
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        if core & low:
+            nb = adj[low.bit_length() - 1] & core
+            if not nb & (nb - 1):
+                core ^= low
+                todo |= nb
+    return core
+
+
+def _find_cycle(g: Graph, core: int) -> tuple[int, ...] | None:
+    """Some cycle inside ``core``, or None when ``core`` is empty.
+
+    ``core`` must be a 2-core: every vertex in it has two or more
+    neighbours in it (see :func:`_strip`), so a non-empty one holds a
+    cycle.  Deterministic: BFS from the smallest vertex until an edge
     closes, which keeps the returned cycle short.
     """
-    adj = g.adj
-    core = live
-    queue = [v for v in bits(core) if (adj[v] & core).bit_count() <= 1]
-    while queue:
-        nxt = []
-        for v in queue:
-            if core >> v & 1 and (adj[v] & core).bit_count() <= 1:
-                core &= ~(1 << v)
-                nxt.extend(bits(adj[v] & core))
-        queue = nxt
     if not core:
         return None
+    adj = g.adj
     root = (core & -core).bit_length() - 1
-    parent = {root: -1}
-    depth = {root: 0}
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    depth[root] = 0
     frontier = [root]
     while frontier:
         upcoming = []
         for u in frontier:
-            for w in bits(adj[u] & core):
-                if w not in parent:
+            du = depth[u]
+            pu = parent[u]
+            m = adj[u] & core
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
+                dw = depth[w]
+                if dw < 0:
                     parent[w] = u
-                    depth[w] = depth[u] + 1
+                    depth[w] = du + 1
                     upcoming.append(w)
-                elif w != parent[u] and depth[w] <= depth[u]:
+                elif w != pu and dw <= du:
                     # non-tree edge: join the two root paths into a cycle
                     left, right = [u], [w]
                     a, b = u, w
@@ -536,7 +585,7 @@ def _find_cycle(g: Graph, live: int) -> tuple[int, ...] | None:
                             right.append(b)
                     return tuple(left[:-1] + right[::-1])
         frontier = upcoming
-    raise AssertionError("stripped subgraph must contain a cycle")
+    raise AssertionError("a non-empty 2-core must contain a cycle")
 
 
 def _fallback_search(
@@ -551,10 +600,13 @@ def _fallback_search(
     Iterative-deepening branching on cycles of the remaining graph:
     every cycle must lose one deletable vertex, so branches follow the
     cycle's vertices (ascending; deleting one forbids its neighbors and
-    the alternatives already tried).  ``lower`` is a proven lower bound
-    (the raw DP value); sizes at or above ``cap`` cannot improve the
-    running optimum and are skipped.  ``tests`` counts cycle
-    extractions.  Returns ``(size, extension_mask, tests, capped)``.
+    the alternatives already tried).  The remaining graph is kept as its
+    2-core: the universe is stripped once per call, and each branch
+    re-strips only from the deleted vertex's neighbours.  ``lower`` is a
+    proven lower bound (the raw DP value); sizes at or above ``cap``
+    cannot improve the running optimum and are skipped.  ``tests``
+    counts search nodes, each one test of whether the remaining graph
+    is acyclic.  Returns ``(size, extension_mask, tests, capped)``.
     """
     base = cand.fvs_part
     universe = g.vertex_mask & ~base
@@ -562,33 +614,34 @@ def _fallback_search(
     adj = g.adj
     tests = 0
 
-    def dfs(live: int, deleted: int, allowed: int, budget: int) -> int | None:
+    def dfs(core: int, deleted: int, allowed: int, budget: int) -> int | None:
         nonlocal tests
         tests += 1
-        cycle = _find_cycle(g, live)
-        if cycle is None:
+        if not core:
             return deleted
         if budget == 0:
             return None
         remaining = allowed
-        for v in sorted(cycle):
-            if not remaining >> v & 1:
+        for v in sorted(_find_cycle(g, core)):  # type: ignore[arg-type]
+            bit = 1 << v
+            if not remaining & bit:
                 continue
             found = dfs(
-                live & ~(1 << v),
-                deleted | 1 << v,
-                remaining & ~(1 << v) & ~adj[v],
+                _strip(adj, core ^ bit, adj[v] & core),
+                deleted | bit,
+                remaining & ~bit & ~adj[v],
                 budget - 1,
             )
             if found is not None:
                 return found
-            remaining &= ~(1 << v)  # later branches keep v
+            remaining &= ~bit  # later branches keep v
         return None
 
+    core = _strip(adj, universe, universe)
     for size in range(lower, allowed_all.bit_count() + 1):
         if size >= cap:
             return None, None, tests, True
-        ext = dfs(universe, 0, allowed_all, size)
+        ext = dfs(core, 0, allowed_all, size)
         if ext is not None:
             if not g.is_ifvs(base | ext):
                 raise AssertionError("residual search produced an invalid set")

@@ -83,6 +83,30 @@ def test_json_certificate_revalidates(tmp_path):
     assert g.is_ifvs(mask_of(report["certificate"]))
 
 
+def test_fallback_counters_are_reported():
+    from ifvs import format_edgelist, generate
+
+    # generate(8, 12, 1) sends three candidates to the exact fallback
+    text = format_edgelist(generate(8, 12, 1))
+    proc = run_cli("ifvs", "--k", "8", "--json", "-v", stdin=text)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    stats, steps = report["stats"], report["steps"]
+    assert stats["fallbacks"] > 0
+    assert stats["fallback_tests"] >= stats["fallbacks"]
+    assert stats["fallback_tests"] == sum(s["fallback_tests"] for s in steps)
+    shown = [s for s in steps if s["fallbacks"]]
+    assert any(
+        f"fallbacks = {s['fallbacks']}, fallback_tests = {s['fallback_tests']}" in proc.stderr
+        for s in shown
+    )
+    plain = run_cli("ifvs", "--k", "8", "--no-timing", stdin=text)
+    assert (
+        f"fallbacks: {stats['fallbacks']}  fallback_tests: {stats['fallback_tests']}"
+        in plain.stdout
+    )
+
+
 def test_gen_is_deterministic_and_forced():
     a = run_cli("gen", "--n", "6", "--m", "7", "--seed", "1")
     b = run_cli("gen", "--n", "6", "--m", "7", "--seed", "1")

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete,
@@ -28,6 +30,7 @@ from ifvs import (
     min_ifvs_given_fvs,
     root_forest,
 )
+from ifvs.extension import _find_cycle, _link_rows, _strip
 
 
 def _candidates(g, f):
@@ -283,6 +286,70 @@ def test_keep_rows_infeasible_below_direct_links():
                             assert math.isinf(val)
                 if cand.forbidden >> v & 1:
                     assert math.isinf(tables.delete[v])
+
+
+def test_link_rows_match_direct_component_links():
+    # the rows built once per candidate are the per-vertex reference, and
+    # a vertex with two edges into one component can never be kept
+    rng = random.Random(41)
+    doubled_seen = 0
+    for _ in range(120):
+        g = random_graph(rng, n_max=10)
+        _, fcert = brute_min_fvs(g)
+        f = mask_of(fcert) | mask_of(v for v in range(g.n) if rng.random() < 0.3)
+        for cand in enumerate_candidates(g, f):
+            link, doubled = _link_rows(g, cand)
+            tables = compute_tables(g, f, cand)
+            for v in tables.forest.order:
+                wv, dbl = direct_component_links(g, cand, v)
+                assert link[v] == tables.link[v] == wv
+                assert bool(doubled >> v & 1) == dbl
+                if dbl:
+                    doubled_seen += 1
+                    assert all(math.isinf(x) for x in tables.part[v][-1])
+            assert doubled & f == 0
+    assert doubled_seen > 0
+
+
+def _two_core(g, live):
+    """Reference 2-core: drop one vertex with at most one neighbour at a time."""
+    while True:
+        for v in bits(live):
+            if (g.adj[v] & live).bit_count() <= 1:
+                live &= ~(1 << v)
+                break
+        else:
+            return live
+
+
+@st.composite
+def graphs_with_subset(draw, max_n: int = 10):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    live = draw(st.integers(0, (1 << n) - 1))
+    return Graph(n, edges), live
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_subset())
+def test_incremental_strip_and_find_cycle(case):
+    g, live = case
+    core = _two_core(g, live)
+    assert _strip(g.adj, live, live) == core
+    cycle = _find_cycle(g, core)
+    if not core:
+        assert cycle is None
+    else:
+        assert cycle is not None and len(cycle) >= 3
+        assert len(set(cycle)) == len(cycle)
+        assert mask_of(cycle) & ~core == 0
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert g.adj[a] >> b & 1
+    # deleting one core vertex: re-stripping from its neighbours is exact
+    for v in bits(core):
+        rest = core & ~(1 << v)
+        assert _strip(g.adj, rest, g.adj[v] & core) == _two_core(g, rest)
 
 
 def test_dp_solve_per_candidate_exactness():
