@@ -14,7 +14,11 @@ from .compression import solve_ifvs
 from .generator import generate
 from .graph import Graph
 
-CSV_HEADER = "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio"
+# later columns are appended, so readers that index by position keep working
+CSV_HEADER = (
+    "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio,"
+    "fallbacks,fallback_tests,pruned,skipped"
+)
 
 DECISION_LABELS = {"yes": "yes", "no": "no-within-k", "absent": "no-ifvs-exists"}
 
@@ -30,11 +34,16 @@ class BenchRecord:
     candidates: int
     dp_cells: int
     ratio: float
+    fallbacks: int
+    fallback_tests: int
+    pruned: int
+    skipped: int
 
     def csv_row(self) -> str:
         return (
             f"{self.n},{self.m},{self.k},{self.decision},{self.cert_size},"
-            f"{self.ms:.3f},{self.candidates},{self.dp_cells},{self.ratio:.6f}"
+            f"{self.ms:.3f},{self.candidates},{self.dp_cells},{self.ratio:.6f},"
+            f"{self.fallbacks},{self.fallback_tests},{self.pruned},{self.skipped}"
         )
 
 
@@ -76,6 +85,10 @@ def _measure(g: Graph, k: int, threads: int) -> BenchRecord:
         candidates=stats.candidates,
         dp_cells=stats.dp_cells,
         ratio=stats.dp_cells / budget,
+        fallbacks=stats.fallbacks,
+        fallback_tests=stats.fallback_tests,
+        pruned=stats.pruned,
+        skipped=stats.skipped,
     )
 
 

@@ -13,14 +13,18 @@ the new vertex closes a cycle.  When it does not, the step is *skipped*:
 no edge joins two old vertices, so the old optimum is still independent
 and still an FVS, and prefix optima never shrink, so it is still
 minimum.  Only a step that closes a cycle pays for the extension stage,
-which also receives the old optimum as a lower bound.
+which also receives the old optimum as a lower bound.  Its prefix graph
+is sliced from the graph relabelled by insertion position, built once
+per solve, and the extension stage checks once that its input is an FVS.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, TextIO
 
 from .extension import min_ifvs_given_fvs
@@ -64,16 +68,37 @@ class SolveOutcome:
             assert self.certificate is not None
 
 
-def _prefix_graph(g: Graph, order: list[int], size: int) -> Graph:
-    """Subgraph on the first ``size`` vertices of ``order``.
+def _relabel(g: Graph, order: list[int]) -> Graph:
+    """``g`` with vertex ``order[i]`` renamed ``i``.
 
-    Local vertex ``i`` is ``order[i]``, so earlier prefixes keep their ids.
+    Edges are sorted by their later endpoint, so the edges among the
+    first ``size`` vertices are a prefix of ``edges``.
     """
-    pos = {v: i for i, v in enumerate(order[:size])}
-    edges = [
-        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
-    ]
-    return Graph(size, edges)
+    local = [0] * g.n
+    for i, v in enumerate(order):
+        local[v] = i
+    adj = [0] * g.n
+    later: list[tuple[int, int]] = []
+    for u, v in g.edges:
+        a, b = local[u], local[v]
+        if a > b:
+            a, b = b, a
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        later.append((b, a))
+    later.sort()
+    return Graph.trusted(tuple(adj), tuple([(a, b) for b, a in later]))
+
+
+def _prefix_graph(h: Graph, size: int) -> Graph:
+    """Subgraph of ``h`` on its first ``size`` vertices.
+
+    ``h`` comes from :func:`_relabel`: the edges are a slice, and each
+    row only loses its later neighbours.  Earlier prefixes keep their ids.
+    """
+    keep = (1 << size) - 1
+    m = bisect_left(h.edges, size, key=itemgetter(1))
+    return Graph.trusted(tuple([a & keep for a in h.adj[:size]]), h.edges[:m])
 
 
 def _resolve_order(g: Graph, order, seed) -> list[int]:
@@ -126,9 +151,7 @@ def solve_ifvs(
     t0 = time.perf_counter()
     stats = SolveStats()
     order = _resolve_order(g, order, seed)
-    local = [0] * g.n
-    for i, v in enumerate(order):
-        local[v] = i
+    h = _relabel(g, order)
 
     decision = "yes"
     current: tuple[int, ...] = ()  # prefix optimum, local ids
@@ -137,14 +160,12 @@ def solve_ifvs(
     for size in range(1, g.n + 1):
         new = size - 1
         closes = False
-        for w in bits(g.adj[order[new]]):
-            w = local[w]
-            if w < new and not current_mask >> w & 1:
-                a, b = _find(parent, new), _find(parent, w)
-                if a == b:
-                    closes = True
-                    break
-                parent[a] = b
+        for w in bits(h.adj[new] & ((1 << new) - 1) & ~current_mask):
+            a, b = _find(parent, new), _find(parent, w)
+            if a == b:
+                closes = True
+                break
+            parent[a] = b
         if not closes:
             # prefixes with at most two vertices are acyclic and get no step
             if size >= 3:
@@ -164,9 +185,8 @@ def solve_ifvs(
                     progress(f"step {size}: {size} vertices, skipped, min = {len(current)}")
             continue
 
-        prefix = _prefix_graph(g, order, size)
+        prefix = _prefix_graph(h, size)
         fvs_input = current_mask | 1 << new
-        assert prefix.is_fvs(fvs_input)
         outcome = min_ifvs_given_fvs(prefix, fvs_input, lower=len(current), trace=trace)
 
         fvs_size = fvs_input.bit_count()

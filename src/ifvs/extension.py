@@ -38,7 +38,6 @@ best total meets it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, TextIO
 
@@ -74,34 +73,40 @@ def root_forest(g: Graph, f: int) -> RootedForest:
 
     Roots are the smallest vertex id per tree; children are ordered by
     ascending vertex id.  Raises :class:`NotAForestError` if ``f`` is not
-    a feedback vertex set of ``g``.
+    a feedback vertex set of ``g``: the breadth-first search meets a
+    vertex it has already seen through an edge that is not the parent's.
     """
-    if not g.is_fvs(f):
-        raise NotAForestError("deleting the given set leaves a cycle")
     remaining = g.vertex_mask & ~f
+    adj = g.adj
     parent: dict[int, int | None] = {}
     children: dict[int, tuple[int, ...]] = {}
     roots: list[int] = []
-    order: list[int] = []
+    order: list[int] = []  # doubles as the queue
     seen = 0
-    for r in bits(remaining):
-        if seen >> r & 1:
-            continue
+    rest = remaining
+    while rest:
+        r = (rest & -rest).bit_length() - 1
         roots.append(r)
         parent[r] = None
         seen |= 1 << r
-        queue = deque([r])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            kids = []
-            for u in bits(g.adj[v] & remaining):
-                if not seen >> u & 1:
-                    seen |= 1 << u
-                    parent[u] = v
-                    kids.append(u)
-            children[v] = tuple(kids)
-            queue.extend(kids)
+        head = len(order)
+        order.append(r)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            nb = adj[v] & remaining
+            p = parent[v]
+            if p is not None:
+                nb ^= 1 << p
+            if nb & seen:
+                raise NotAForestError("deleting the given set leaves a cycle")
+            seen |= nb
+            kids = tuple(bits(nb))
+            for u in kids:
+                parent[u] = v
+            children[v] = kids
+            order.extend(kids)
+        rest = remaining & ~seen
     return RootedForest(tuple(roots), parent, children, tuple(order))
 
 
@@ -113,7 +118,6 @@ class Candidate:
     size: int
     l: int  # number of components of the undeleted fvs part
     comp_masks: tuple[int, ...]
-    comp_of: tuple[int, ...]  # vertex -> component index, -1 elsewhere
     forbidden: int  # forest vertices adjacent to fvs_part
     fvs: int
 
@@ -207,21 +211,52 @@ def _iter_subsets(full: int) -> Iterator[int]:
         sub = (sub - full) & full
 
 
-def _build_candidate(g: Graph, f: int, sub: int) -> Candidate:
+def _admit(adj: tuple[int, ...], f: int, sub: int) -> tuple[str, tuple[int, ...]]:
+    """Whether the subset ``sub`` of ``f`` could sit inside a solution.
+
+    Returns ``(reason, components)``: ``reason`` is "" when ``sub`` is
+    independent and ``f - sub`` induces a forest, and ``components`` are
+    then the components of ``f - sub``, ordered by smallest vertex id.
+    One breadth-first search per component on the adjacency masks finds
+    them, and a component ``C`` is a tree iff it spans ``|C| - 1`` edges.
+    """
+    rest = sub
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & sub:
+            return "not-independent", ()
+        rest ^= low
     rem = f & ~sub
-    comp_masks = tuple(g.components_within(rem))
-    comp_of = [-1] * g.n
-    for i, cm in enumerate(comp_masks):
-        for v in bits(cm):
-            comp_of[v] = i
-    forbidden = g.neighbors(sub) & g.vertex_mask & ~f
+    comps: list[int] = []
+    rest = rem
+    while rest:
+        comp = 0
+        frontier = rest & -rest
+        ends = 0  # edge ends inside the component
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nb = adj[low.bit_length() - 1] & rem
+                nxt |= nb
+                ends += nb.bit_count()
+                frontier ^= low
+            frontier = nxt & ~comp
+        if ends != 2 * (comp.bit_count() - 1):
+            return "cyclic-remainder", ()
+        comps.append(comp)
+        rest &= ~comp
+    return "", tuple(comps)
+
+
+def _build_candidate(g: Graph, f: int, sub: int, comps: tuple[int, ...]) -> Candidate:
     return Candidate(
         fvs_part=sub,
         size=sub.bit_count(),
-        l=len(comp_masks),
-        comp_masks=comp_masks,
-        comp_of=tuple(comp_of),
-        forbidden=forbidden,
+        l=len(comps),
+        comp_masks=comps,
+        forbidden=g.neighbors(sub) & ~f,
         fvs=f,
     )
 
@@ -236,11 +271,9 @@ def enumerate_candidates(g: Graph, f: int) -> Iterator[Candidate]:
     if not g.is_fvs(f):
         raise NotAnFvsError("candidate enumeration requires a feedback vertex set")
     for sub in _iter_subsets(f):
-        if not g.is_independent_set(sub):
-            continue
-        if not g.is_forest_within(f & ~sub):
-            continue
-        yield _build_candidate(g, f, sub)
+        reason, comps = _admit(g.adj, f, sub)
+        if not reason:
+            yield _build_candidate(g, f, sub, comps)
 
 
 def direct_component_links(g: Graph, cand: Candidate, v: int) -> tuple[int, bool]:
@@ -407,18 +440,24 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
     delete = [INF] * g.n
     min_keep = [INF] * g.n
     evals: list[int] = []
+    # rows are never written once filled, so vertices may share them
+    single: dict[int, list[list[float]]] = {}  # one-row parts by link mask
 
     for v in reversed(forest.order):
         wv = link[v]
         doubled = dbl >> v & 1
         ch = kids[v]
         if doubled or not ch:
-            row: list[float] = [INF] * nstates
-            if not doubled:
-                row[wv] = 0
             # with two edges into one component, keeping v closes a cycle
-            rows = [row]
+            key = -1 if doubled else wv
+            rows = single.get(key)
+            if rows is None:
+                row: list[float] = [INF] * nstates
+                if not doubled:
+                    row[wv] = 0
+                rows = single[key] = [row]
             evals.append(0 if doubled else 1)
+            min_keep[v] = INF if doubled else 0
         else:
             rest = (nstates - 1) & ~wv
             r = rest.bit_count()
@@ -433,10 +472,13 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
                     if s == rest:
                         break
                     s = (s - rest) & rest
-            else:
+                if delete[c] < row[wv]:
+                    row[wv] = delete[c]
+            elif delete[c] < kc[0]:
                 row = kc.copy()  # no direct links: every subset is the child's
-            if delete[c] < row[wv]:
-                row[wv] = delete[c]
+                row[0] = delete[c]
+            else:
+                row = kc
             rows = [row]
             evals.append(1 << r)
             for c in ch[1:]:
@@ -464,8 +506,9 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
                     s = (s - rest) & rest
                 rows.append(row)
                 evals.append(3**r)
+            # a shared row is the only child's, so its minimum is known
+            min_keep[v] = min_keep[c] if row is kc else min(row)
         part[v] = rows
-        min_keep[v] = min(row)
         if forb >> v & 1:
             delete[v] = INF  # deleting a neighbor of the chosen fvs part
         else:
@@ -734,42 +777,34 @@ def min_ifvs_given_fvs(
     total equals it.  Reports absence when every candidate is
     infeasible.  Raises :class:`NotAnFvsError` when ``f`` is not an FVS.
     """
-    if not g.is_fvs(f):
-        raise NotAnFvsError("the provided set is not a feedback vertex set")
-    forest = root_forest(g, f)
+    try:
+        forest = root_forest(g, f)
+    except NotAForestError as exc:
+        raise NotAnFvsError("the provided set is not a feedback vertex set") from exc
     want_tables = trace is not None and g.n <= 10
 
     stats = ExtensionStats()
-    accepted: list[tuple[Candidate, CandidateRecord]] = []
+    accepted: list[tuple[int, tuple[int, ...], CandidateRecord]] = []
     for sub in _iter_subsets(f):
-        size = sub.bit_count()
-        if not g.is_independent_set(sub):
-            stats.records.append(
-                CandidateRecord(sub, size, False, reject_reason="not-independent")
-            )
-            continue
-        if not g.is_forest_within(f & ~sub):
-            stats.records.append(
-                CandidateRecord(sub, size, False, reject_reason="cyclic-remainder")
-            )
-            continue
-        cand = _build_candidate(g, f, sub)
-        rec = CandidateRecord(sub, size, True, l=cand.l)
+        reason, comps = _admit(g.adj, f, sub)
+        rec = CandidateRecord(sub, sub.bit_count(), not reason, reject_reason=reason, l=len(comps))
         stats.records.append(rec)
-        accepted.append((cand, rec))
-    accepted.sort(key=lambda item: (item[0].size, item[0].fvs_part))
+        if not reason:
+            accepted.append((sub, comps, rec))
+    accepted.sort(key=lambda item: (item[2].size, item[0]))
 
     # phase 1: the DP in ascending (size, bitmask) order, behind the
     # validity gate.  Every improvement is strict, so ties keep the
-    # earlier candidate.
+    # earlier candidate.  A candidate is built only once it is not pruned.
     best_total: float = INFEASIBLE
     best_cert: int | None = None
     trace_tables: dict[int, str] = {}
     pending: list[tuple[int, Candidate, CandidateRecord]] = []
-    for cand, rec in accepted:
-        if best_total <= lower or cand.size >= best_total:
+    for sub, comps, rec in accepted:
+        if best_total <= lower or rec.size >= best_total:
             rec.pruned = True
             continue
+        cand = _build_candidate(g, f, sub, comps)
         cost, extension, row_evals, tables = _run_dp(
             g, forest, cand, want_tables, best_total - cand.size
         )

@@ -34,8 +34,9 @@ class Graph:
     """A simple undirected graph on vertices ``0..n-1``.
 
     Instances are immutable after construction.  ``adj[v]`` is the
-    neighbor bitmask of vertex ``v``; ``edges`` is the canonical sorted
-    tuple of ``(min, max)`` pairs.
+    neighbor bitmask of vertex ``v``; ``edges`` holds every edge once as a
+    ``(min, max)`` pair, sorted by the constructor (a graph made by
+    :meth:`trusted` keeps the order it was given).
     """
 
     __slots__ = ("n", "m", "adj", "edges")
@@ -60,6 +61,20 @@ class Graph:
         self.m = len(canon)
         self.adj = tuple(adj)
         self.edges = tuple(sorted(canon))
+
+    @classmethod
+    def trusted(cls, adj: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph from neighbour rows and ``(min, max)`` edges, unchecked.
+
+        The caller guarantees that ``adj`` and ``edges`` describe the same
+        simple graph on ``len(adj)`` vertices.
+        """
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.m = len(edges)
+        g.adj = adj
+        g.edges = edges
+        return g
 
     @property
     def vertex_mask(self) -> int:
@@ -153,10 +168,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from ifvs import Graph
 
 
@@ -50,6 +52,15 @@ def random_graph(rng: random.Random, n_max: int = 12, m_cap: int | None = None) 
     m = rng.randint(0, min(limit, m_cap if m_cap is not None else 2 * n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, rng.sample(pairs, m))
+
+
+@st.composite
+def graphs(draw, max_n: int = 12, max_m: int = 24) -> Graph:
+    """Hypothesis strategy: a simple graph on at most ``max_n`` vertices."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_m)) if pairs else []
+    return Graph(n, chosen)
 
 
 # smallest instances on which per-tree table optima assemble into an

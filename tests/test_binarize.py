@@ -1,8 +1,12 @@
 """Rooting of the forest left after deleting an FVS."""
 
-import pytest
+from collections import deque
 
-from conftest import cycle, path
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import cycle, graphs, path
 from ifvs import NotAForestError, mask_of, root_forest
 
 
@@ -22,3 +26,37 @@ def test_root_forest_c4_minus_vertex():
 def test_root_forest_rejects_cyclic_remainder():
     with pytest.raises(NotAForestError):
         root_forest(cycle(4), 0)
+
+
+def reference_bfs(g, f):
+    """Roots, parents, children and BFS order of the forest on ``V - f``."""
+    rest = [v for v in range(g.n) if not f >> v & 1]
+    parent, children, roots, order = {}, {}, [], []
+    for r in rest:
+        if r in parent:
+            continue
+        roots.append(r)
+        parent[r] = None
+        queue = deque([r])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            kids = [u for u in rest if g.adj[v] >> u & 1 and u not in parent]
+            for u in kids:
+                parent[u] = v
+            children[v] = tuple(kids)
+            queue.extend(kids)
+    return tuple(roots), parent, children, tuple(order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_root_forest_raises_exactly_on_a_cycle_and_matches_bfs(data):
+    g = data.draw(graphs())
+    f = data.draw(st.integers(0, g.vertex_mask))
+    if not g.is_fvs(f):
+        with pytest.raises(NotAForestError):
+            root_forest(g, f)
+        return
+    rf = root_forest(g, f)
+    assert (rf.roots, rf.parent, rf.children, rf.order) == reference_bfs(g, f)

@@ -158,7 +158,10 @@ def test_bench_subcommand(tmp_path):
     proc = run_cli("bench", "--spec", str(spec), "--seed", "4")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
-    assert lines[0] == "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio"
+    assert lines[0] == (
+        "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio,"
+        "fallbacks,fallback_tests,pruned,skipped"
+    )
     assert len(lines) == 3
 
 

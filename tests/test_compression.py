@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cycle, path, planted, random_graph
+from conftest import complete, cycle, graphs, path, planted, random_graph
 from ifvs import (
     Graph,
     brute_min_ifvs,
     decide_prefix_chain,
+    generate,
     mask_of,
     solve_ifvs,
 )
+from ifvs.compression import _prefix_graph, _relabel
 
 
 def test_forest_budget_zero():
@@ -177,3 +179,26 @@ def test_decision_matches_oracle_at_the_optimum(g):
         assert g.is_ifvs(mask_of(out.certificate))
         if opt > 0:
             assert solve_ifvs(g, opt - 1, seed=seed).decision == "no"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sliced_prefix_matches_a_full_rebuild(data):
+    g = data.draw(graphs())
+    order = data.draw(st.permutations(range(g.n)))
+    h = _relabel(g, order)
+    for size in range(g.n + 1):
+        pos = {v: i for i, v in enumerate(order[:size])}
+        full = Graph(size, [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
+        sliced = _prefix_graph(h, size)
+        assert (sliced.n, sliced.m, sliced.adj) == (full.n, full.m, full.adj)
+        assert sorted(sliced.edges) == list(full.edges)
+        assert sliced == full and hash(sliced) == hash(full)
+
+
+def test_probe_counters_are_pinned():
+    # generate(60, 75, 1) at k=60 is the ROADMAP baseline probe; these
+    # counts are the work the solver does today, so a change to that work
+    # shows up here and must update the pin on purpose
+    stats = solve_ifvs(generate(60, 75, 1), 60).stats
+    assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (358, 24, 139_348)

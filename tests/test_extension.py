@@ -11,6 +11,7 @@ from conftest import (
     gate_cross_tree,
     gate_forced_fallback,
     gate_single_tree,
+    graphs,
     path,
     random_graph,
 )
@@ -30,7 +31,7 @@ from ifvs import (
     min_ifvs_given_fvs,
     root_forest,
 )
-from ifvs.extension import _find_cycle, _link_rows, _strip
+from ifvs.extension import _admit, _find_cycle, _iter_subsets, _link_rows, _strip
 
 
 def _candidates(g, f):
@@ -464,3 +465,18 @@ def test_trace_marks_pruned_candidates():
     # {} already costs 1, so the one-vertex candidate {0} cannot beat it
     assert out.stats.pruned == 1
     assert "candidate {0} accepted l=0 pruned" in sink.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_admit_matches_the_graph_predicates(data):
+    g = data.draw(graphs())
+    f = data.draw(st.integers(0, g.vertex_mask))
+    for sub in _iter_subsets(f):
+        reason, comps = _admit(g.adj, f, sub)
+        if not g.is_independent_set(sub):
+            assert (reason, comps) == ("not-independent", ())
+        elif not g.is_forest_within(f & ~sub):
+            assert (reason, comps) == ("cyclic-remainder", ())
+        else:
+            assert (reason, comps) == ("", tuple(g.components_within(f & ~sub)))

@@ -51,6 +51,21 @@ def test_run_bench_shapes():
     for rec in records:
         assert rec.dp_cells >= 0 and rec.ratio >= 0
         assert rec.decision in ("yes", "no-within-k", "no-ifvs-exists")
+    # the appended counter columns are the solve's own SolveStats;
+    # generate(10, 14, 1) at k=10 runs the exact fallback search
+    from ifvs import solve_ifvs
+
+    names = CSV_HEADER.split(",")
+    more = format_csv(run_bench([(10, 14, 10, 1)], seed=1)).strip().splitlines()[1:]
+    solves = [(generate(8, 8, 3), 2)] * 2 + [(generate(6, 5, 4), 1), (generate(10, 14, 1), 10)]
+    fallbacks = 0
+    for line, (g, k) in zip(lines[1:] + more, solves, strict=True):
+        row = dict(zip(names, line.split(","), strict=True))
+        stats = solve_ifvs(g, k).stats
+        for name in ("candidates", "dp_cells", "fallbacks", "fallback_tests", "pruned", "skipped"):
+            assert int(row[name]) == getattr(stats, name), name
+        fallbacks += stats.fallbacks
+    assert fallbacks > 0
 
 
 def test_forest_family_per_step_counts_stay_linear():
