@@ -48,15 +48,22 @@ class BenchRecord:
 
 
 def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
-    """Parse a family spec: CSV lines ``n,m,k,reps`` (header optional)."""
+    """Parse a family spec: CSV lines ``n,m,k,reps`` (header optional).
+
+    Blank lines and ``#`` comments are skipped; a header may only be the
+    first line left.
+    """
     rows = []
+    first = True
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
-        if idx == 1 and not parts[0].lstrip("-").isdigit():
-            continue  # header row
+        if first:
+            first = False
+            if not parts[0].lstrip("-").isdigit():
+                continue  # header row
         if len(parts) != 4:
             raise ValueError(f"spec line {idx}: expected 'n,m,k,reps', got {line!r}")
         try:

@@ -78,6 +78,7 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
                 "fallbacks": stats.fallbacks,
                 "fallback_tests": stats.fallback_tests,
                 "pruned": stats.pruned,
+                "bound_pruned": stats.bound_pruned,
                 "skipped": stats.skipped,
             },
             "steps": [
@@ -90,6 +91,7 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
                     "fallbacks": s.fallbacks,
                     "fallback_tests": s.fallback_tests,
                     "pruned": s.pruned,
+                    "bound_pruned": s.bound_pruned,
                     "skipped": s.skipped,
                 }
                 for s in stats.steps
@@ -106,7 +108,7 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
         counters = (
             f"candidates: {stats.candidates}  dp_cells: {stats.dp_cells}  "
             f"fallbacks: {stats.fallbacks}  fallback_tests: {stats.fallback_tests}  "
-            f"pruned: {stats.pruned}  "
+            f"pruned: {stats.pruned}  bound_pruned: {stats.bound_pruned}  "
             f"skipped: {stats.skipped}"
         )
         if not args.no_timing:

@@ -41,6 +41,7 @@ class StepRecord:
     fallbacks: int
     fallback_tests: int = 0  # search nodes of those fallback searches
     pruned: int = 0  # candidates the extension stage pruned
+    bound_pruned: int = 0  # of those, pruned by disjoint cycles before any DP
     skipped: bool = False  # no cycle closed, the old optimum carried over
 
 
@@ -51,6 +52,7 @@ class SolveStats:
     fallbacks: int = 0
     fallback_tests: int = 0
     pruned: int = 0
+    bound_pruned: int = 0  # pruned candidates whose DP never ran, by the cycle bound
     skipped: int = 0  # steps that closed no cycle and ran no extension
     ms: float = 0.0
     f_max: int = 0  # largest FVS handed to the extension stage
@@ -197,6 +199,7 @@ def solve_ifvs(
         stats.fallbacks += ext.fallbacks
         stats.fallback_tests += ext.fallback_tests
         stats.pruned += ext.pruned
+        stats.bound_pruned += ext.bound_pruned
         stats.steps.append(
             StepRecord(
                 prefix=size,
@@ -207,6 +210,7 @@ def solve_ifvs(
                 fallbacks=ext.fallbacks,
                 fallback_tests=ext.fallback_tests,
                 pruned=ext.pruned,
+                bound_pruned=ext.bound_pruned,
             )
         )
         if progress is not None:
@@ -214,6 +218,7 @@ def solve_ifvs(
             progress(
                 f"step {size}: {size} vertices, fvs = {fvs_size}, min = {shown}, "
                 f"candidates = {ext.candidates_scanned}, pruned = {ext.pruned}, "
+                f"bound_pruned = {ext.bound_pruned}, "
                 f"cells = {ext.dp_cells}, fallbacks = {ext.fallbacks}, "
                 f"fallback_tests = {ext.fallback_tests}"
             )

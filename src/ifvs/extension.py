@@ -26,9 +26,12 @@ answer for a candidate whose certificate fails that check.
 
 Candidates are solved in ascending ``(size, bitmask)`` order against the
 best total found so far.  A candidate whose size already reaches that
-total is *pruned* without running the DP, and so is one whose size plus
-DP value reaches it: the tables only ever under-count, so the DP value
-is a lower bound on the candidate's exact cost and the validity gate and
+total is *pruned* without running the DP.  So is one for which ``G``
+minus the candidate holds as many vertex-disjoint cycles as the gap
+between its size and the best total: every extension deletes a vertex
+of each such cycle.  And so is one whose size plus DP value reaches the
+best total: the tables only ever under-count, so the DP value is a
+lower bound on the candidate's exact cost and the validity gate and
 fallback can be skipped.  Fallback searches wait until every candidate
 has had its DP, so the best total known by then caps them.  A
 caller-supplied lower bound on the optimum ends the scan as soon as the
@@ -139,6 +142,11 @@ class CandidateRecord:
     fallback_tests: int = 0
     capped: bool = False
     pruned: bool = False  # could not beat the best total; exact cost never computed
+    cycles: int = 0  # disjoint cycles that pruned it before its DP (0: none did)
+
+    @property
+    def bound_pruned(self) -> bool:
+        return self.cycles > 0
 
 
 @dataclass
@@ -168,6 +176,10 @@ class ExtensionStats:
     @property
     def pruned(self) -> int:
         return sum(1 for r in self.records if r.pruned)
+
+    @property
+    def bound_pruned(self) -> int:
+        return sum(1 for r in self.records if r.bound_pruned)
 
 
 @dataclass
@@ -324,42 +336,40 @@ class DpTables:
 
     def trace_keep(self, v: int, sv: int, j: int = -1) -> dict[int, bool]:
         """Kept/deleted assignment below ``v`` for the cell ``part[v][j][sv]``."""
-        assign: dict[int, bool] = {}
-        self._trace([(v, j % len(self.part[v]), sv)], assign)
-        return assign
+        return _assignment(*self._trace([(v, j % len(self.part[v]), sv)]))
 
     def trace_delete(self, v: int) -> dict[int, bool]:
-        assign: dict[int, bool] = {}
-        self._trace([(v, None, 0)], assign)
-        return assign
+        return _assignment(*self._trace([(v, None, 0)]))
 
-    def _trace(self, stack: list[tuple[int, int | None, int]], assign: dict[int, bool]) -> None:
-        """Pop ``(v, j, sv)`` cells: ``part[v][j][sv]``, or ``delete[v]`` when ``j`` is None."""
+    def _trace(self, stack: list[tuple[int, int | None, int]]) -> tuple[int, int]:
+        """Pop ``(v, j, sv)`` cells: ``part[v][j][sv]``, or ``delete[v]`` when ``j`` is None.
+
+        Returns the ``(kept, deleted)`` vertex masks of the cells walked.
+        """
         kids = self.forest.children
         part = self.part
         delete = self.delete
         min_keep = self.min_keep
         link = self.link
-
-        def mark(v: int, kept: bool) -> None:
-            prev = assign.get(v)
-            if prev is None:
-                assign[v] = kept
-            elif prev != kept:
-                raise AssertionError("inconsistent keep/delete trace")
+        kept = deleted = 0
 
         while stack:
             v, j, sv = stack.pop()
+            bit = 1 << v
             ch = kids[v]
             if j is None:
-                mark(v, False)
+                if kept & bit:
+                    raise AssertionError("inconsistent keep/delete trace")
+                deleted |= bit
                 if math.isinf(delete[v]):
                     raise AssertionError("tracing an infeasible cell")
                 # a deleted vertex leaves each child free to take its best row
                 for c in ch:
                     stack.append((c, len(part[c]) - 1, part[c][-1].index(min_keep[c])))
                 continue
-            mark(v, True)
+            if deleted & bit:
+                raise AssertionError("inconsistent keep/delete trace")
+            kept |= bit
             val = part[v][j][sv]
             if math.isinf(val):
                 raise AssertionError("tracing an infeasible cell")
@@ -390,6 +400,14 @@ class DpTables:
                     stack.append((c, None, 0))
                     break
                 a = (a - s) & s
+        return kept, deleted
+
+
+def _assignment(kept: int, deleted: int) -> dict[int, bool]:
+    """``{v: True}`` for each kept vertex, ``{v: False}`` for each deleted one."""
+    assign = dict.fromkeys(bits(kept), True)
+    assign.update(dict.fromkeys(bits(deleted), False))
+    return assign
 
 
 def _link_rows(g: Graph, cand: Candidate) -> tuple[list[int], int]:
@@ -542,7 +560,6 @@ def _run_dp(
     if not total < cap:
         return total, None, tables.row_evals, tables if want_tables else None
 
-    assign: dict[int, bool] = {}
     ops: list[tuple[int, int | None, int]] = []
     for r in forest.roots:
         best = tables.best_for_root(r)
@@ -551,9 +568,7 @@ def _run_dp(
             ops.append((r, len(rows) - 1, rows[-1].index(best)))
         else:
             ops.append((r, None, 0))
-    tables._trace(ops, assign)
-
-    extension = mask_of(v for v, kept in assign.items() if not kept)
+    _, extension = tables._trace(ops)
     if extension.bit_count() != total:
         raise AssertionError("trace cost disagrees with the table optimum")
     return int(total), extension, tables.row_evals, tables if want_tables else None
@@ -629,6 +644,31 @@ def _find_cycle(g: Graph, core: int) -> tuple[int, ...] | None:
                     return tuple(left[:-1] + right[::-1])
         frontier = upcoming
     raise AssertionError("a non-empty 2-core must contain a cycle")
+
+
+def _disjoint_cycles(g: Graph, core: int, sub: int, cap: int) -> int:
+    """Vertex-disjoint cycles of ``g - sub``, packed greedily, counted up to ``cap``.
+
+    ``core`` is the 2-core of ``g``; removing ``sub`` lowers only the
+    degrees of its neighbours, so the re-strip starts from them.  Each
+    cycle is a :func:`_find_cycle` cycle of what is left, and the core
+    is re-stripped from that cycle's neighbours.  A non-empty 2-core
+    holds a cycle, so the last one counted is never extracted.  Every
+    extension of ``sub`` deletes a vertex of each cycle, so the count is
+    a lower bound on its cost.
+    """
+    adj = g.adj
+    core &= ~sub
+    core = _strip(adj, core, g.neighbors(sub) & core)
+    count = 0
+    while core:
+        count += 1
+        if count >= cap:
+            break
+        cycle = mask_of(_find_cycle(g, core))  # type: ignore[arg-type]
+        core &= ~cycle
+        core = _strip(adj, core, g.neighbors(cycle) & core)
+    return count
 
 
 def _fallback_search(
@@ -795,15 +835,24 @@ def min_ifvs_given_fvs(
 
     # phase 1: the DP in ascending (size, bitmask) order, behind the
     # validity gate.  Every improvement is strict, so ties keep the
-    # earlier candidate.  A candidate is built only once it is not pruned.
+    # earlier candidate.  A candidate is built only once it is not pruned,
+    # by its size or by disjoint cycles that its extension must break.
     best_total: float = INFEASIBLE
     best_cert: int | None = None
     trace_tables: dict[int, str] = {}
     pending: list[tuple[int, Candidate, CandidateRecord]] = []
+    core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
     for sub, comps, rec in accepted:
         if best_total <= lower or rec.size >= best_total:
             rec.pruned = True
             continue
+        if best_total < INFEASIBLE:
+            gap = int(best_total) - rec.size  # at least 1, by the size test
+            cycles = _disjoint_cycles(g, core, sub, gap)
+            if cycles >= gap:
+                rec.pruned = True
+                rec.cycles = cycles
+                continue
         cand = _build_candidate(g, f, sub, comps)
         cost, extension, row_evals, tables = _run_dp(
             g, forest, cand, want_tables, best_total - cand.size
@@ -857,7 +906,9 @@ def min_ifvs_given_fvs(
                     extra += f" dp_cost={rec.dp_cost} evals={rec.total_evals}"
                 if rec.fallback:
                     extra += f" fallback(tests={rec.fallback_tests})"
-                if rec.pruned:
+                if rec.cycles:
+                    extra += f" pruned (cycles={rec.cycles})"
+                elif rec.pruned:
                     extra += " pruned"
                 trace.write(f"candidate {members} accepted{extra}\n")
                 if rec.fvs_part in trace_tables:

@@ -40,17 +40,17 @@ def _check_counts(n: int, m: int, line_no: int, line: str) -> None:
 
 
 def detect_format(text: str) -> str:
-    """Guess the format from the first non-blank, non-comment token."""
-    for raw in text.splitlines():
+    """Guess the format from the first line not blank or a ``#`` comment."""
+    for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         token = line.split()[0]
         if token in ("c", "p", "e"):
             return "dimacs"
         if token.lstrip("-").isdigit():
             return "edgelist"
-        raise ParseError(f"unrecognized leading token {token!r}", 1, raw)
+        raise ParseError(f"unrecognized leading token {token!r}", idx, raw)
     raise ParseError("empty input")
 
 
@@ -74,6 +74,8 @@ def parse_edgelist(text: str) -> Graph:
             _check_counts(n, declared_m, idx, raw)
             header = (n, declared_m)
             continue
+        if len(edges) == declared_m:
+            raise ParseError(f"more than the declared {declared_m} edges", idx, raw)
         if len(parts) != 2:
             raise ParseError("expected edge 'u v'", idx, raw)
         try:
@@ -123,6 +125,8 @@ def parse_dimacs(text: str) -> Graph:
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", idx, raw)
+            if len(edges) == declared_m:
+                raise ParseError(f"more than the declared {declared_m} edges", idx, raw)
             if len(parts) != 3:
                 raise ParseError("expected 'e u v'", idx, raw)
             try:

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from ifvs import Graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for ``python -m ifvs`` subprocesses: this checkout's
+    sources first on the path, so the CLI tests need no install."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def cycle(n: int) -> Graph:

@@ -14,6 +14,7 @@ import time
 from itertools import combinations
 
 from conftest import (
+    cli_env,
     complete,
     cycle,
     gate_cross_tree,
@@ -245,6 +246,7 @@ def _run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         timeout=300,
+        env=cli_env(),
     )
 
 

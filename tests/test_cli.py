@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import cli_env
+
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
 K4_EDGELIST = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 P4_DIMACS = "c path\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
@@ -16,6 +18,7 @@ def run_cli(*args, stdin=""):
         capture_output=True,
         text=True,
         timeout=120,
+        env=cli_env(),
     )
 
 
@@ -105,6 +108,28 @@ def test_fallback_counters_are_reported():
         f"fallbacks: {stats['fallbacks']}  fallback_tests: {stats['fallback_tests']}"
         in plain.stdout
     )
+
+
+def test_bound_pruned_counter_is_reported():
+    from ifvs import format_edgelist, generate
+
+    # generate(8, 12, 1) prunes three candidates by disjoint cycles
+    text = format_edgelist(generate(8, 12, 1))
+    proc = run_cli("ifvs", "--k", "8", "--json", "-v", "--trace", stdin=text)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    stats, steps = report["stats"], report["steps"]
+    assert stats["bound_pruned"] == sum(s["bound_pruned"] for s in steps) == 3
+    assert stats["bound_pruned"] <= stats["pruned"]
+    assert all(s["bound_pruned"] <= s["pruned"] for s in steps)
+    assert all(
+        f"pruned = {s['pruned']}, bound_pruned = {s['bound_pruned']}," in proc.stderr
+        for s in steps
+        if not s["skipped"]
+    )
+    assert proc.stderr.count("pruned (cycles=") == 3
+    plain = run_cli("ifvs", "--k", "8", "--no-timing", stdin=text)
+    assert f"pruned: {stats['pruned']}  bound_pruned: 3  " in plain.stdout
 
 
 def test_gen_is_deterministic_and_forced():

@@ -199,6 +199,18 @@ def test_sliced_prefix_matches_a_full_rebuild(data):
 def test_probe_counters_are_pinned():
     # generate(60, 75, 1) at k=60 is the ROADMAP baseline probe; these
     # counts are the work the solver does today, so a change to that work
-    # shows up here and must update the pin on purpose
+    # shows up here and must update the pin on purpose.  dp_cells fell
+    # from 139,348 when the disjoint-cycle bound began pruning candidates
+    # before their DP; the bound leaves the candidates and fallbacks alone
     stats = solve_ifvs(generate(60, 75, 1), 60).stats
-    assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (358, 24, 139_348)
+    assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (358, 24, 122_507)
+
+
+def test_planted_counters_are_pinned():
+    # one planted-long graph at its yes budget.  Once the first candidate
+    # sets the best total, every candidate whose removal leaves enough
+    # disjoint triangles to fill its gap is pruned by the disjoint-cycle
+    # bound before its DP; without the bound this graph costs 2,339 cells
+    stats = solve_ifvs(planted(96, 3, 1), 3).stats
+    assert (stats.candidates, stats.bound_pruned, stats.dp_cells) == (14, 8, 856)
+    assert stats.bound_pruned == sum(s.bound_pruned for s in stats.steps)

@@ -31,7 +31,15 @@ from ifvs import (
     min_ifvs_given_fvs,
     root_forest,
 )
-from ifvs.extension import _admit, _find_cycle, _iter_subsets, _link_rows, _strip
+from ifvs import extension
+from ifvs.extension import (
+    _admit,
+    _disjoint_cycles,
+    _find_cycle,
+    _iter_subsets,
+    _link_rows,
+    _strip,
+)
 
 
 def _candidates(g, f):
@@ -480,3 +488,93 @@ def test_admit_matches_the_graph_predicates(data):
             assert (reason, comps) == ("cyclic-remainder", ())
         else:
             assert (reason, comps) == ("", tuple(g.components_within(f & ~sub)))
+
+
+def _min_extension(g, f, sub):
+    """Fewest forest vertices whose deletion with ``sub`` gives an IFVS, or None."""
+    from itertools import combinations
+
+    tree = list(bits(g.vertex_mask & ~f))
+    for size in range(len(tree) + 1):
+        for combo in combinations(tree, size):
+            if g.is_ifvs(sub | mask_of(combo)):
+                return size
+    return None
+
+
+@st.composite
+def rings_plus_edges(draw, max_n: int = 10):
+    """Disjoint 3- and 4-cycles on shuffled labels, plus up to four more edges."""
+    n = draw(st.integers(3, max_n))
+    labels = draw(st.permutations(range(n)))
+    edges = set()
+    start = 0
+    while n - start >= 3:
+        length = draw(st.integers(3, min(4, n - start)))
+        ring = labels[start : start + length]
+        edges.update(tuple(sorted((ring[i], ring[i - 1]))) for i in range(length))
+        start += length
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    return Graph(n, edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rings_plus_edges())
+def test_disjoint_cycle_bound_is_sound(g):
+    # every cycle the bound extracts is checked, through a wrapper around
+    # the _find_cycle that _disjoint_cycles looks up at call time
+    found = []
+
+    def recording(graph, core):
+        cyc = _find_cycle(graph, core)
+        found.append(cyc)
+        return cyc
+
+    f = mask_of(brute_min_fvs(g)[1])
+    core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
+    extension._find_cycle = recording
+    try:
+        for sub in _iter_subsets(f):
+            if _admit(g.adj, f, sub)[0]:
+                continue
+            found.clear()
+            # at most n / 3 disjoint cycles fit, so this cap extracts each one
+            count = _disjoint_cycles(g, core, sub, g.n + 1)
+            assert len(found) == count
+            used = 0
+            for cyc in found:
+                cmask = mask_of(cyc)
+                assert len(cyc) >= 3 and cmask.bit_count() == len(cyc)
+                assert cmask & (sub | used) == 0
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    assert g.adj[a] >> b & 1
+                used |= cmask
+            assert (count == 0) == g.is_forest_within(g.vertex_mask & ~sub)
+            best = _min_extension(g, f, sub)
+            if best is not None:
+                assert count <= best
+            # a smaller cap stops early, counting the last cycle unextracted
+            for cap in range(1, count + 2):
+                found.clear()
+                assert _disjoint_cycles(g, core, sub, cap) == min(cap, count)
+                assert len(found) == min(cap - 1, count)
+    finally:
+        extension._find_cycle = _find_cycle
+
+
+def test_trace_marks_bound_pruned_candidates():
+    import io
+
+    # two disjoint triangles with f = {0, 3}: the empty candidate costs 2,
+    # and each one-vertex candidate leaves the other triangle, a cycle
+    # that closes its gap of 1 before its DP runs
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    sink = io.StringIO()
+    out = min_ifvs_given_fvs(g, mask_of([0, 3]), trace=sink)
+    assert out.size == 2
+    assert (out.stats.pruned, out.stats.bound_pruned, out.stats.dp_cells) == (3, 2, 6)
+    text = sink.getvalue()
+    assert "candidate {0} accepted l=1 pruned (cycles=1)" in text
+    assert "candidate {3} accepted l=1 pruned (cycles=1)" in text
+    assert "candidate {0,3} accepted l=0 pruned\n" in text

@@ -39,6 +39,10 @@ def test_parse_spec():
         parse_spec("1,2,3\n")
     with pytest.raises(ValueError):
         parse_spec("4,3,1,0\n")
+    # a header may follow comments and blank lines, but not a data row
+    assert parse_spec("# family\n\nn,m,k,reps\n8,9,2,3\n") == [(8, 9, 2, 3)]
+    with pytest.raises(ValueError, match="spec line 2: non-integer field"):
+        parse_spec("8,9,2,3\nn,m,k,reps\n")
 
 
 def test_run_bench_shapes():

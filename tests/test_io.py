@@ -72,3 +72,29 @@ def test_hostile_header_counts_fail_before_allocating():
         parse_dimacs(f"p edge {MAX_VERTICES + 1} 0\n")
     with pytest.raises(ParseError):
         parse_edgelist(f"2 {MAX_EDGES + 1}\n")
+
+
+def test_autodetect_skips_comment_lines():
+    text = "# a square\n\n" + EDGELIST
+    assert detect_format(text) == "edgelist"
+    assert load_graph(text) == parse_edgelist(EDGELIST)
+    assert detect_format("# DIMACS below\n" + DIMACS) == "dimacs"
+
+
+def test_detect_format_names_the_bad_line():
+    with pytest.raises(ParseError) as err:
+        detect_format("\n# note\n\nhello 1\n")
+    assert "line 4" in str(err.value) and "'hello'" in str(err.value)
+
+
+def test_surplus_edges_fail_at_the_first_surplus_line():
+    # the line after the surplus one is malformed too; it is never read
+    with pytest.raises(ParseError) as err:
+        parse_edgelist("3 1\n0 1\n1 2\nbroken\n")
+    assert "line 3" in str(err.value) and "more than the declared 1 edges" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_dimacs("c path\np edge 3 1\ne 1 2\ne 2 3\nbroken\n")
+    assert "line 4" in str(err.value) and "more than the declared 1 edges" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        load_graph("2 0\n# none declared\n0 1\n")
+    assert "line 3" in str(err.value)
