@@ -16,9 +16,7 @@ from .extension import (
     INFEASIBLE,
     NotAForestError,
     NotAnFvsError,
-    compute_tables,
     direct_component_links,
-    dp_solve,
     enumerate_candidates,
     min_ifvs_given_fvs,
     root_forest,
@@ -48,10 +46,8 @@ __all__ = [
     "brute_min_fvs",
     "brute_min_ifvs",
     "brute_min_ifvs_extension",
-    "compute_tables",
     "decide_prefix_chain",
     "direct_component_links",
-    "dp_solve",
     "enumerate_candidates",
     "format_edgelist",
     "generate",

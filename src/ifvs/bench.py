@@ -17,7 +17,7 @@ from .graph import Graph
 # later columns are appended, so readers that index by position keep working
 CSV_HEADER = (
     "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio,"
-    "fallbacks,fallback_tests,pruned,skipped"
+    "fallbacks,fallback_tests,pruned,skipped,bound_pruned"
 )
 
 DECISION_LABELS = {"yes": "yes", "no": "no-within-k", "absent": "no-ifvs-exists"}
@@ -38,12 +38,14 @@ class BenchRecord:
     fallback_tests: int
     pruned: int
     skipped: int
+    bound_pruned: int
 
     def csv_row(self) -> str:
         return (
             f"{self.n},{self.m},{self.k},{self.decision},{self.cert_size},"
             f"{self.ms:.3f},{self.candidates},{self.dp_cells},{self.ratio:.6f},"
-            f"{self.fallbacks},{self.fallback_tests},{self.pruned},{self.skipped}"
+            f"{self.fallbacks},{self.fallback_tests},{self.pruned},{self.skipped},"
+            f"{self.bound_pruned}"
         )
 
 
@@ -76,9 +78,9 @@ def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def _measure(g: Graph, k: int, threads: int) -> BenchRecord:
+def _measure(g: Graph, k: int) -> BenchRecord:
     t0 = time.perf_counter()
-    outcome = solve_ifvs(g, k, threads=threads)
+    outcome = solve_ifvs(g, k)
     ms = (time.perf_counter() - t0) * 1000.0
     stats = outcome.stats
     budget = (4 ** stats.f_max) * max(g.n, 1)
@@ -96,6 +98,7 @@ def _measure(g: Graph, k: int, threads: int) -> BenchRecord:
         fallback_tests=stats.fallback_tests,
         pruned=stats.pruned,
         skipped=stats.skipped,
+        bound_pruned=stats.bound_pruned,
     )
 
 
@@ -103,7 +106,6 @@ def run_bench(
     rows: list[tuple[int, int, int, int]],
     *,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[BenchRecord]:
     """Run each family row ``reps`` times, discarding one warm-up run.
 
@@ -112,9 +114,9 @@ def run_bench(
     records = []
     for i, (n, m, k, reps) in enumerate(rows):
         g = generate(n, m, seed + i)
-        _measure(g, k, threads)  # warm-up, discarded
+        _measure(g, k)  # warm-up, discarded
         for _ in range(reps):
-            records.append(_measure(g, k, threads))
+            records.append(_measure(g, k))
     return records
 
 

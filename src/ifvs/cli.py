@@ -48,12 +48,6 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="auto")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--trace", action="store_true", help="per-candidate trace on stderr")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; no effect, the solver is sequential",
-    )
     p.add_argument("--seed", type=int, default=None, help="shuffle the insertion order")
     p.add_argument(
         "--no-timing",
@@ -121,12 +115,9 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace, problem: str) -> int:
     if args.k < 0:
         raise UsageError("--k must be non-negative")
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     g = _load_input(args)
     kwargs = dict(
         seed=args.seed,
-        threads=args.threads,
         trace=sys.stderr if args.trace else None,
         progress=(lambda line: print(line, file=sys.stderr)) if args.verbose else None,
     )
@@ -167,7 +158,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rows = bench_mod.parse_spec(_read_text(args.spec))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    records = bench_mod.run_bench(rows, seed=args.seed, threads=args.threads)
+    records = bench_mod.run_bench(rows, seed=args.seed)
     _write_text(args.output, bench_mod.format_csv(records))
     return 0
 
@@ -203,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark family, emit CSV")
     p_bench.add_argument("--spec", required=True, help="CSV of n,m,k,reps rows")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
-    )
     p_bench.add_argument("--output", default=None)
 
     return parser

@@ -145,8 +145,8 @@ def solve_ifvs(
     Returns decision "yes" with a certificate, "no" when the optimum
     exceeds ``k``, or "absent" when no such set of any size exists.
     Insertion order defaults to the input order; ``seed`` shuffles it
-    reproducibly.  ``threads`` is accepted for compatibility and has no
-    effect.
+    reproducibly.  ``threads`` has no effect; it is kept only because the
+    committed benchmark runner, ``perfbench/run.py``, passes ``threads=1``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")

@@ -23,6 +23,8 @@ different trees) can still close a cycle through a shared pair of
 components, which the tables cannot see; every assembled certificate is
 therefore re-validated, and an exact bounded search replaces the DP
 answer for a candidate whose certificate fails that check.
+:func:`min_ifvs_given_fvs` is the one path that turns a candidate into an
+exact cost: the DP, then the validity gate, then the deferred search.
 
 Candidates are solved in ascending ``(size, bitmask)`` order against the
 best total found so far.  A candidate whose size already reaches that
@@ -140,7 +142,6 @@ class CandidateRecord:
     max_node_evals: int = 0  # largest count of one partial row
     fallback: bool = False
     fallback_tests: int = 0
-    capped: bool = False
     pruned: bool = False  # could not beat the best total; exact cost never computed
     cycles: int = 0  # disjoint cycles that pruned it before its DP (0: none did)
 
@@ -197,20 +198,6 @@ class ExtensionOutcome:
     @property
     def absent(self) -> bool:
         return self.size is None
-
-
-@dataclass
-class DpSolveResult:
-    """Result of :func:`dp_solve` for one candidate."""
-
-    cost: float  # exact minimum extension size; INFEASIBLE if none
-    extension: int | None  # witness mask over the forest vertices
-    dp_cost: float  # raw DP value before the validity gate
-    fallback: bool
-    fallback_tests: int
-    capped: bool  # search stopped by the cost cap, no exact value
-    row_evals: tuple[int, ...]
-    total_evals: int
 
 
 def _iter_subsets(full: int) -> Iterator[int]:
@@ -320,11 +307,10 @@ class DpTables:
     ascending order before the option that deletes the child.
     """
 
-    __slots__ = ("forest", "cand", "link", "part", "delete", "min_keep", "row_evals")
+    __slots__ = ("forest", "link", "part", "delete", "min_keep", "row_evals")
 
-    def __init__(self, forest, cand, link, part, delete, min_keep, row_evals):
+    def __init__(self, forest, link, part, delete, min_keep, row_evals):
         self.forest = forest
-        self.cand = cand
         self.link = link
         self.part = part
         self.delete = delete
@@ -337,9 +323,6 @@ class DpTables:
     def trace_keep(self, v: int, sv: int, j: int = -1) -> dict[int, bool]:
         """Kept/deleted assignment below ``v`` for the cell ``part[v][j][sv]``."""
         return _assignment(*self._trace([(v, j % len(self.part[v]), sv)]))
-
-    def trace_delete(self, v: int) -> dict[int, bool]:
-        return _assignment(*self._trace([(v, None, 0)]))
 
     def _trace(self, stack: list[tuple[int, int | None, int]]) -> tuple[int, int]:
         """Pop ``(v, j, sv)`` cells: ``part[v][j][sv]``, or ``delete[v]`` when ``j`` is None.
@@ -536,19 +519,18 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
                 cost += min_keep[c]
             delete[v] = cost
 
-    return DpTables(forest, cand, link, part, delete, min_keep, tuple(evals))
+    return DpTables(forest, link, part, delete, min_keep, tuple(evals))
 
 
 def _run_dp(
     g: Graph,
     forest: RootedForest,
     cand: Candidate,
-    want_tables: bool,
     cap: float = INFEASIBLE,
-):
+) -> tuple[float, int | None, DpTables]:
     """Tables plus one optimal root-level assignment per tree.
 
-    Returns ``(cost, extension_mask, row_evals, tables)``;
+    Returns ``(cost, extension_mask, tables)``;
     ``extension_mask`` is None when some tree admits no assignment at
     all (cost INFEASIBLE) or when the cost is not below ``cap``, in which
     case the traceback is skipped.
@@ -558,7 +540,7 @@ def _run_dp(
     for r in forest.roots:
         total += tables.best_for_root(r)
     if not total < cap:
-        return total, None, tables.row_evals, tables if want_tables else None
+        return total, None, tables
 
     ops: list[tuple[int, int | None, int]] = []
     for r in forest.roots:
@@ -571,12 +553,7 @@ def _run_dp(
     _, extension = tables._trace(ops)
     if extension.bit_count() != total:
         raise AssertionError("trace cost disagrees with the table optimum")
-    return int(total), extension, tables.row_evals, tables if want_tables else None
-
-
-def compute_tables(g: Graph, f: int, candidate: Candidate) -> DpTables:
-    """Run the DP for one candidate of ``f`` and expose the raw tables."""
-    return _compute_tables(g, root_forest(g, f), candidate)
+    return int(total), extension, tables
 
 
 def _strip(adj: tuple[int, ...], core: int, todo: int) -> int:
@@ -677,7 +654,7 @@ def _fallback_search(
     tree_mask: int,
     lower: int,
     cap: float,
-) -> tuple[int | None, int | None, int, bool]:
+) -> tuple[int | None, int | None, int]:
     """Exact bounded search for the cheapest valid extension.
 
     Iterative-deepening branching on cycles of the remaining graph:
@@ -689,7 +666,8 @@ def _fallback_search(
     proven lower bound (the raw DP value); sizes at or above ``cap``
     cannot improve the running optimum and are skipped.  ``tests``
     counts search nodes, each one test of whether the remaining graph
-    is acyclic.  Returns ``(size, extension_mask, tests, capped)``.
+    is acyclic.  Returns ``(size, extension_mask, tests)``; ``size`` is
+    None when no extension is cheaper than ``cap``.
     """
     base = cand.fvs_part
     universe = g.vertex_mask & ~base
@@ -723,70 +701,13 @@ def _fallback_search(
     core = _strip(adj, universe, universe)
     for size in range(lower, allowed_all.bit_count() + 1):
         if size >= cap:
-            return None, None, tests, True
+            break
         ext = dfs(core, 0, allowed_all, size)
         if ext is not None:
             if not g.is_ifvs(base | ext):
                 raise AssertionError("residual search produced an invalid set")
-            return ext.bit_count(), ext, tests, False
-    return None, None, tests, False
-
-
-def dp_solve(
-    g: Graph,
-    f: int,
-    candidate: Candidate,
-    *,
-    cost_cap: float = INFEASIBLE,
-) -> DpSolveResult:
-    """Minimum extension of one candidate to a full solution.
-
-    Returns the least number of forest vertices whose deletion, together
-    with ``candidate.fvs_part``, yields an independent feedback vertex
-    set of ``g`` - with a witness - or INFEASIBLE when no extension
-    exists.  With a finite ``cost_cap`` the search may stop early once a
-    result could no longer beat the cap (flagged via ``capped``).
-    """
-    cost, extension, row_evals, _ = _run_dp(g, root_forest(g, f), candidate, False)
-    total_evals = sum(row_evals)
-    if extension is None:
-        # the tables only ever under-count, so an infeasible DP is final
-        return DpSolveResult(
-            cost=INFEASIBLE,
-            extension=None,
-            dp_cost=INFEASIBLE,
-            fallback=False,
-            fallback_tests=0,
-            capped=False,
-            row_evals=row_evals,
-            total_evals=total_evals,
-        )
-    if g.is_ifvs(candidate.fvs_part | extension):
-        return DpSolveResult(
-            cost=cost,
-            extension=extension,
-            dp_cost=cost,
-            fallback=False,
-            fallback_tests=0,
-            capped=False,
-            row_evals=row_evals,
-            total_evals=total_evals,
-        )
-    # distinct kept regions linked the same component pair; fall back to
-    # an exact bounded search for this candidate
-    size, ext, tests, capped = _fallback_search(
-        g, candidate, g.vertex_mask & ~f, int(cost), cost_cap
-    )
-    return DpSolveResult(
-        cost=INFEASIBLE if size is None else size,
-        extension=ext,
-        dp_cost=cost,
-        fallback=True,
-        fallback_tests=tests,
-        capped=capped,
-        row_evals=row_evals,
-        total_evals=total_evals,
-    )
+            return ext.bit_count(), ext, tests
+    return None, None, tests
 
 
 def _format_tables(tables: DpTables) -> str:
@@ -854,13 +775,11 @@ def min_ifvs_given_fvs(
                 rec.cycles = cycles
                 continue
         cand = _build_candidate(g, f, sub, comps)
-        cost, extension, row_evals, tables = _run_dp(
-            g, forest, cand, want_tables, best_total - cand.size
-        )
+        cost, extension, tables = _run_dp(g, forest, cand, best_total - cand.size)
         rec.dp_cost = cost
-        rec.total_evals = sum(row_evals)
-        rec.max_node_evals = max(row_evals, default=0)
-        if tables is not None:
+        rec.total_evals = sum(tables.row_evals)
+        rec.max_node_evals = max(tables.row_evals, default=0)
+        if want_tables:
             trace_tables[cand.fvs_part] = _format_tables(tables)
         if extension is None:
             # infeasible, or the DP's lower bound cannot beat the best
@@ -881,11 +800,10 @@ def min_ifvs_given_fvs(
             rec.pruned = True
             continue
         rec.fallback = True
-        size, ext, tests, capped = _fallback_search(
+        size, ext, tests = _fallback_search(
             g, cand, g.vertex_mask & ~f, bound - cand.size, best_total - cand.size
         )
         rec.fallback_tests = tests
-        rec.capped = capped
         if size is None:
             continue
         rec.cost = size

@@ -39,6 +39,29 @@ def _check_counts(n: int, m: int, line_no: int, line: str) -> None:
         raise ParseError(f"{m} edges exceed the limit of {MAX_EDGES}", line_no, line)
 
 
+def _edge(
+    fields: list[str], base: int, n: int, seen: set[tuple[int, int]], line_no: int, line: str
+) -> tuple[int, int]:
+    """Check the endpoint fields of one edge line, with ids counted from ``base``.
+
+    Returns the edge with 0-based ids and records it in ``seen``; a
+    repeated pair in either orientation is rejected at its own line.
+    """
+    try:
+        u, v = int(fields[0]) - base, int(fields[1]) - base
+    except ValueError:
+        raise ParseError("non-integer edge endpoint", line_no, line) from None
+    if not (0 <= u < n and 0 <= v < n):
+        raise ParseError(f"endpoint out of range [{base}, {n + base})", line_no, line)
+    if u == v:
+        raise ParseError("self-loop", line_no, line)
+    key = (u, v) if u < v else (v, u)
+    if key in seen:
+        raise ParseError("duplicate edge", line_no, line)
+    seen.add(key)
+    return u, v
+
+
 def detect_format(text: str) -> str:
     """Guess the format from the first line not blank or a ``#`` comment."""
     for idx, raw in enumerate(text.splitlines(), start=1):
@@ -58,6 +81,7 @@ def parse_edgelist(text: str) -> Graph:
     lines = text.splitlines()
     header = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     declared_m = 0
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -78,16 +102,7 @@ def parse_edgelist(text: str) -> Graph:
             raise ParseError(f"more than the declared {declared_m} edges", idx, raw)
         if len(parts) != 2:
             raise ParseError("expected edge 'u v'", idx, raw)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer edge endpoint", idx, raw) from None
-        n = header[0]
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"endpoint out of range [0, {n})", idx, raw)
-        if u == v:
-            raise ParseError("self-loop", idx, raw)
-        edges.append((u, v))
+        edges.append(_edge(parts, 0, header[0], seen, idx, raw))
     if header is None:
         raise ParseError("empty input")
     if len(edges) != declared_m:
@@ -107,6 +122,7 @@ def parse_dimacs(text: str) -> Graph:
     n = None
     declared_m = 0
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -129,15 +145,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"more than the declared {declared_m} edges", idx, raw)
             if len(parts) != 3:
                 raise ParseError("expected 'e u v'", idx, raw)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("non-integer edge endpoint", idx, raw) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"endpoint out of range [1, {n}]", idx, raw)
-            if u == v:
-                raise ParseError("self-loop", idx, raw)
-            edges.append((u - 1, v - 1))
+            edges.append(_edge(parts[1:], 1, n, seen, idx, raw))
         else:
             raise ParseError(f"unrecognized line type {parts[0]!r}", idx, raw)
     if n is None:

@@ -94,6 +94,20 @@ def gate_forced_fallback() -> tuple[Graph, int]:
     return g, mask_of([0, 1, 5])
 
 
+def gate_fallback_wins() -> tuple[Graph, int]:
+    # choosing 2 keeps its forest neighbours 0, 3 and 6; the one-vertex
+    # trees 5 and 6 both link components {1} and {4}, so the DP's
+    # certificate closes 1-5-4-6, and only the fallback's deletion of 5
+    # reaches the optimum 2, which no other candidate attains
+    from ifvs import mask_of
+
+    g = Graph(
+        7,
+        [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6), (4, 5), (4, 6)],
+    )
+    return g, mask_of([1, 2, 4])
+
+
 def gate_single_tree() -> tuple[Graph, int]:
     # hub 2 with children 3, 4, each linked to both components {0}, {1}
     from ifvs import mask_of

@@ -29,14 +29,15 @@ from ifvs import (
     brute_min_fvs,
     brute_min_ifvs,
     brute_min_ifvs_extension,
-    compute_tables,
     enumerate_candidates,
     mask_of,
     min_ifvs_given_fvs,
+    root_forest,
     solve_fvs,
     solve_ifvs,
     subdivide,
 )
+from ifvs.extension import _compute_tables
 
 ALL_PAIRS_N5 = list(combinations(range(5), 2))
 
@@ -154,7 +155,7 @@ def test_criterion_5_structural_bounds():
                 f |= 1 << v
         p = g.n - f.bit_count()
         for cand in enumerate_candidates(g, f):
-            tables = compute_tables(g, f, cand)
+            tables = _compute_tables(g, root_forest(g, f), cand)
             rows = sum(len(tables.part[v]) for v in tables.forest.order)
             assert len(tables.row_evals) == rows
             assert rows <= 2 * p, (g.edges, f)
@@ -253,8 +254,8 @@ def _run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
 def test_criterion_9_determinism_across_threads():
     """Repeated runs with identical inputs and seeds give byte-identical JSON.
 
-    The solver has no threads; ``--threads`` is accepted and ignored, so
-    determinism is checked across repeated runs and two seeds.
+    The solver has no threads, so determinism is checked across repeated
+    runs and two seeds.
     """
     gen = _run_cli("gen", "--n", "14", "--m", "18", "--seed", "7")
     assert gen.returncode == 0

@@ -185,7 +185,7 @@ def test_bench_subcommand(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == (
         "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio,"
-        "fallbacks,fallback_tests,pruned,skipped"
+        "fallbacks,fallback_tests,pruned,skipped,bound_pruned"
     )
     assert len(lines) == 3
 
@@ -195,10 +195,11 @@ def test_no_timing_strips_ms():
     assert "ms" not in json.loads(proc.stdout)["stats"]
 
 
-@pytest.mark.parametrize("threads", ["1", "8"])
-def test_threads_flag_accepted(threads):
-    proc = run_cli("ifvs", "--k", "1", "--threads", threads, stdin=C4_EDGELIST)
-    assert proc.returncode == 0
+def test_threads_flag_rejected():
+    # the solver is sequential and takes no thread count
+    proc = run_cli("ifvs", "--k", "1", "--threads", "1", stdin=C4_EDGELIST)
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
 
 
 def test_skip_and_prune_counters_are_reported():

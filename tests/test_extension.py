@@ -9,6 +9,7 @@ from conftest import (
     complete,
     cycle,
     gate_cross_tree,
+    gate_fallback_wins,
     gate_forced_fallback,
     gate_single_tree,
     graphs,
@@ -23,9 +24,7 @@ from ifvs import (
     brute_min_fvs,
     brute_min_ifvs,
     brute_min_ifvs_extension,
-    compute_tables,
     direct_component_links,
-    dp_solve,
     enumerate_candidates,
     mask_of,
     min_ifvs_given_fvs,
@@ -34,10 +33,13 @@ from ifvs import (
 from ifvs import extension
 from ifvs.extension import (
     _admit,
+    _compute_tables,
     _disjoint_cycles,
+    _fallback_search,
     _find_cycle,
     _iter_subsets,
     _link_rows,
+    _run_dp,
     _strip,
 )
 
@@ -89,35 +91,40 @@ def test_direct_component_links():
     assert direct_component_links(lonely, c, 1) == (0, False)
 
 
-def test_dp_solve_c4():
+def test_run_dp_c4():
     g = cycle(4)
     f = mask_of([0])
+    forest = root_forest(g, f)
     empty, single = _candidates(g, f)
-    res = dp_solve(g, f, empty)
+    cost, ext, _ = _run_dp(g, forest, empty)
     # one deletion on the path 1-2-3; this tie-break keeps the root side
-    assert res.cost == 1 and res.extension == mask_of([3])
-    assert g.is_ifvs(empty.fvs_part | res.extension)
-    res = dp_solve(g, f, single)
-    assert res.cost == 0 and res.extension == 0
+    assert cost == 1 and ext == mask_of([3])
+    assert g.is_ifvs(empty.fvs_part | ext)
+    cost, ext, _ = _run_dp(g, forest, single)
+    assert cost == 0 and ext == 0
+    assert g.is_ifvs(single.fvs_part | ext)
 
 
-def test_dp_solve_triangle_choice_inside_fvs():
+def test_run_dp_triangle_choice_inside_fvs():
     g = cycle(3)
     f = mask_of([0])
     chosen = _candidates(g, f)[1]
     assert chosen.fvs_part == mask_of([0])
-    res = dp_solve(g, f, chosen)
-    assert res.cost == 0 and res.extension == 0
+    cost, ext, _ = _run_dp(g, root_forest(g, f), chosen)
+    assert cost == 0 and ext == 0
+    assert g.is_ifvs(chosen.fvs_part | ext)
 
 
-def test_dp_solve_k4_all_candidates_infeasible():
+def test_k4_all_candidates_infeasible():
     g = complete(4)
     f = mask_of([0, 1])
+    forest = root_forest(g, f)
     cands = _candidates(g, f)
     assert cands  # the empty choice is admissible here
     for cand in cands:
-        res = dp_solve(g, f, cand)
-        assert res.cost == INFEASIBLE and res.extension is None
+        cost, ext, _ = _run_dp(g, forest, cand)
+        assert cost == INFEASIBLE and ext is None
+        assert _fallback_search(g, cand, g.vertex_mask & ~f, 0, INFEASIBLE)[:2] == (None, None)
 
 
 def test_min_ifvs_given_fvs_examples():
@@ -180,14 +187,18 @@ def test_gate_fires_on_cross_tree_and_forced_fixtures():
     assert min_ifvs_given_fvs(g, f).stats.fallbacks >= 1
 
 
-def test_dp_solve_cost_cap():
+def test_fallback_search_cost_cap():
     g, f = gate_forced_fallback()
     empty = _candidates(g, f)[0]
-    res = dp_solve(g, f, empty)
-    # the empty choice admits no extension at all for this instance
-    assert res.fallback and res.cost == INFEASIBLE and not res.capped
-    res = dp_solve(g, f, empty, cost_cap=1)
-    assert res.fallback and res.capped and res.cost == INFEASIBLE
+    tree = g.vertex_mask & ~f
+    cost, ext, _ = _run_dp(g, root_forest(g, f), empty)
+    # the DP's certificate fails the gate, and the empty choice admits no
+    # extension at all for this instance
+    assert ext is not None and not g.is_ifvs(empty.fvs_part | ext)
+    size, ext, tests = _fallback_search(g, empty, tree, cost, INFEASIBLE)
+    assert size is None and ext is None and tests > 0
+    # a cap at the DP's lower bound stops the search before its first node
+    assert _fallback_search(g, empty, tree, cost, cost) == (None, None, 0)
 
 
 def test_reported_sizes_are_minimal():
@@ -272,7 +283,7 @@ def test_keep_cell_semantics_small_corpus():
         _, fcert = brute_min_fvs(g)
         f = mask_of(fcert)
         for cand in enumerate_candidates(g, f):
-            tables = compute_tables(g, f, cand)
+            tables = _compute_tables(g, root_forest(g, f), cand)
             _cell_scope_checks(g, f, cand, tables)
         done += 1
 
@@ -286,7 +297,7 @@ def test_keep_rows_infeasible_below_direct_links():
         _, fcert = brute_min_fvs(g)
         f = mask_of(fcert)
         for cand in enumerate_candidates(g, f):
-            tables = compute_tables(g, f, cand)
+            tables = _compute_tables(g, root_forest(g, f), cand)
             for v in tables.forest.order:
                 wv = tables.link[v]
                 for row in tables.part[v]:
@@ -308,7 +319,7 @@ def test_link_rows_match_direct_component_links():
         f = mask_of(fcert) | mask_of(v for v in range(g.n) if rng.random() < 0.3)
         for cand in enumerate_candidates(g, f):
             link, doubled = _link_rows(g, cand)
-            tables = compute_tables(g, f, cand)
+            tables = _compute_tables(g, root_forest(g, f), cand)
             for v in tables.forest.order:
                 wv, dbl = direct_component_links(g, cand, v)
                 assert link[v] == tables.link[v] == wv
@@ -361,42 +372,49 @@ def test_incremental_strip_and_find_cycle(case):
         assert _strip(g.adj, rest, g.adj[v] & core) == _two_core(g, rest)
 
 
-def test_dp_solve_per_candidate_exactness():
-    # the raw tables may under-count (never over-count); dp_solve must
-    # land on the true per-candidate minimum either way
-    import math
-    from itertools import combinations as combos
-
-    from ifvs.extension import _run_dp
-
-    rng = random.Random(99)
-    checked = 0
-    while checked < 80:
+def _fvs_corpus(seed, count):
+    """``count`` random graphs on 2..9 vertices, each with a minimum FVS."""
+    rng = random.Random(seed)
+    while count:
         g = random_graph(rng, n_max=9)
         if g.n < 2:
             continue
-        _, fcert = brute_min_fvs(g)
-        f = mask_of(fcert)
+        yield g, mask_of(brute_min_fvs(g)[1])
+        count -= 1
+
+
+def test_per_candidate_exactness():
+    # the raw tables may under-count (never over-count); the exact search
+    # lands on the true per-candidate minimum, and finds nothing when
+    # capped at or below it
+    for g, f in _fvs_corpus(99, 80):
         forest = root_forest(g, f)
-        tree = [v for v in range(g.n) if not f >> v & 1]
+        tree = g.vertex_mask & ~f
         for cand in enumerate_candidates(g, f):
-            true_min = None
-            for size in range(len(tree) + 1):
-                for combo in combos(tree, size):
-                    if g.is_ifvs(cand.fvs_part | mask_of(combo)):
-                        true_min = size
-                        break
-                if true_min is not None:
-                    break
-            raw_cost, _, _, _ = _run_dp(g, forest, cand, False)
-            exact = dp_solve(g, f, cand)
+            true_min = _min_extension(g, f, cand.fvs_part)
+            raw_cost, _, _ = _run_dp(g, forest, cand)
+            size, ext, _ = _fallback_search(g, cand, tree, 0, INFEASIBLE)
             if true_min is None:
-                assert math.isinf(exact.cost)
-            else:
-                assert raw_cost <= true_min
-                assert exact.cost == true_min
-                assert g.is_ifvs(cand.fvs_part | exact.extension)
-        checked += 1
+                assert size is None and ext is None
+                continue
+            assert raw_cost <= true_min
+            assert size == true_min == ext.bit_count()
+            assert g.is_ifvs(cand.fvs_part | ext)
+            for cap in range(true_min + 1):
+                assert _fallback_search(g, cand, tree, 0, cap)[:2] == (None, None)
+
+
+def test_candidate_records_carry_the_exact_minimum():
+    # the gate's phase and the deferred fallback's phase both set a
+    # record's cost; every finite one is that candidate's true minimum
+    fixtures = [gate_cross_tree(), gate_forced_fallback(), gate_single_tree(), gate_fallback_wins()]
+    by_fallback = 0
+    for g, f in [*fixtures, *_fvs_corpus(99, 80)]:
+        for rec in min_ifvs_given_fvs(g, f).stats.records:
+            if not math.isinf(rec.cost):
+                assert rec.cost == _min_extension(g, f, rec.fvs_part), (g.edges, f)
+                by_fallback += rec.fallback
+    assert by_fallback > 0
 
 
 def test_high_degree_trees_match_oracle():

@@ -66,7 +66,15 @@ def test_run_bench_shapes():
     for line, (g, k) in zip(lines[1:] + more, solves, strict=True):
         row = dict(zip(names, line.split(","), strict=True))
         stats = solve_ifvs(g, k).stats
-        for name in ("candidates", "dp_cells", "fallbacks", "fallback_tests", "pruned", "skipped"):
+        for name in (
+            "candidates",
+            "dp_cells",
+            "fallbacks",
+            "fallback_tests",
+            "pruned",
+            "skipped",
+            "bound_pruned",
+        ):
             assert int(row[name]) == getattr(stats, name), name
         fallbacks += stats.fallbacks
     assert fallbacks > 0

@@ -61,6 +61,17 @@ def test_self_loop_rejected_with_line():
     assert "line 2" in str(err.value)
 
 
+def test_duplicate_edge_names_its_line():
+    for parse, text in (
+        (parse_edgelist, "3 2\n0 1\n1 0\n"),
+        (parse_dimacs, "p edge 3 2\ne 1 2\ne 2 1\n"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line_no == 3
+        assert "duplicate edge" in str(err.value)
+
+
 def test_hostile_header_counts_fail_before_allocating():
     huge = 10**12
     for text in (f"{huge} 0\n", f"p edge {huge} 0\n", f"4 {huge}\n", f"p edge 4 {huge}\n"):
