@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .compression import solve_ifvs
-from .generator import generate
+from .generator import check_shape, generate
 from .graph import Graph
 
 # later columns are appended, so readers that index by position keep working
@@ -53,7 +53,8 @@ def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
     """Parse a family spec: CSV lines ``n,m,k,reps`` (header optional).
 
     Blank lines and ``#`` comments are skipped; a header may only be the
-    first line left.
+    first line left.  Every row must be one that :func:`generate` and
+    :func:`solve_ifvs` accept.
     """
     rows = []
     first = True
@@ -72,8 +73,14 @@ def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
             n, m, k, reps = (int(p) for p in parts)
         except ValueError:
             raise ValueError(f"spec line {idx}: non-integer field in {line!r}") from None
+        if k < 0:
+            raise ValueError(f"spec line {idx}: k must be >= 0")
         if reps < 1:
             raise ValueError(f"spec line {idx}: reps must be >= 1")
+        try:
+            check_shape(n, m)
+        except ValueError as exc:
+            raise ValueError(f"spec line {idx}: {exc}") from None
         rows.append((n, m, k, reps))
     return rows
 

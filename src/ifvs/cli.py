@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
 from .bench import DECISION_LABELS
-from .compression import SolveOutcome, solve_ifvs
+from .compression import COUNTERS, SolveOutcome, solve_ifvs
 from .generator import generate
 from .graph import Graph
 from .io import FORMATS, ParseError, format_edgelist, load_graph
@@ -60,54 +61,28 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
 def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
     decision = DECISION_LABELS[outcome.decision]
     stats = outcome.stats
+    counters = {name: getattr(stats, name) for name in COUNTERS}
     if args.json:
-        payload: dict = {
+        if not args.no_timing:
+            counters["ms"] = round(stats.ms, 3)
+        payload = {
             "decision": decision,
             "certificate": list(outcome.certificate)
             if outcome.certificate is not None
             else None,
-            "stats": {
-                "candidates": stats.candidates,
-                "dp_cells": stats.dp_cells,
-                "fallbacks": stats.fallbacks,
-                "fallback_tests": stats.fallback_tests,
-                "pruned": stats.pruned,
-                "bound_pruned": stats.bound_pruned,
-                "skipped": stats.skipped,
-            },
-            "steps": [
-                {
-                    "prefix": s.prefix,
-                    "fvs_size": s.fvs_size,
-                    "min_ifvs": s.min_ifvs,
-                    "candidates": s.candidates,
-                    "dp_cells": s.dp_cells,
-                    "fallbacks": s.fallbacks,
-                    "fallback_tests": s.fallback_tests,
-                    "pruned": s.pruned,
-                    "bound_pruned": s.bound_pruned,
-                    "skipped": s.skipped,
-                }
-                for s in stats.steps
-            ],
+            "stats": counters,
+            "steps": [asdict(s) for s in stats.steps],
         }
-        if not args.no_timing:
-            payload["stats"]["ms"] = round(stats.ms, 3)
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         lines = [f"decision: {decision}"]
         if outcome.certificate is not None:
             ids = " ".join(str(v) for v in outcome.certificate)
             lines.append(f"certificate ({len(outcome.certificate)}): {ids}")
-        counters = (
-            f"candidates: {stats.candidates}  dp_cells: {stats.dp_cells}  "
-            f"fallbacks: {stats.fallbacks}  fallback_tests: {stats.fallback_tests}  "
-            f"pruned: {stats.pruned}  bound_pruned: {stats.bound_pruned}  "
-            f"skipped: {stats.skipped}"
-        )
+        line = "  ".join(f"{name}: {value}" for name, value in counters.items())
         if not args.no_timing:
-            counters += f"  ms: {stats.ms:.3f}"
-        lines.append(counters)
+            line += f"  ms: {stats.ms:.3f}"
+        lines.append(line)
         sys.stdout.write("\n".join(lines) + "\n")
     return 0 if outcome.decision == "yes" else 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Callable, TextIO
 
@@ -36,9 +36,9 @@ class StepRecord:
     prefix: int  # number of vertices in the grown graph
     fvs_size: int  # size of the FVS handed to the extension stage (0: skipped)
     min_ifvs: int | None  # prefix optimum (None: no solution exists)
-    candidates: int
-    dp_cells: int
-    fallbacks: int
+    candidates: int = 0
+    dp_cells: int = 0
+    fallbacks: int = 0
     fallback_tests: int = 0  # search nodes of those fallback searches
     pruned: int = 0  # candidates the extension stage pruned
     bound_pruned: int = 0  # of those, pruned by disjoint cycles before any DP
@@ -57,6 +57,20 @@ class SolveStats:
     ms: float = 0.0
     f_max: int = 0  # largest FVS handed to the extension stage
     steps: list[StepRecord] = field(default_factory=list)
+
+    def add(self, step: StepRecord) -> None:
+        """Record ``step`` and add its counters to the totals."""
+        self.steps.append(step)
+        if step.skipped:
+            self.skipped += 1  # a skipped step counts nothing else
+            return
+        self.f_max = max(self.f_max, step.fvs_size)
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(step, name))
+
+
+# the SolveStats totals of a StepRecord field, in report order
+COUNTERS = tuple(f.name for f in fields(SolveStats) if f.name in StepRecord.__dataclass_fields__)
 
 
 @dataclass
@@ -171,18 +185,7 @@ def solve_ifvs(
         if not closes:
             # prefixes with at most two vertices are acyclic and get no step
             if size >= 3:
-                stats.skipped += 1
-                stats.steps.append(
-                    StepRecord(
-                        prefix=size,
-                        fvs_size=0,
-                        min_ifvs=len(current),
-                        candidates=0,
-                        dp_cells=0,
-                        fallbacks=0,
-                        skipped=True,
-                    )
-                )
+                stats.add(StepRecord(prefix=size, fvs_size=0, min_ifvs=len(current), skipped=True))
                 if progress is not None:
                     progress(f"step {size}: {size} vertices, skipped, min = {len(current)}")
             continue
@@ -190,37 +193,27 @@ def solve_ifvs(
         prefix = _prefix_graph(h, size)
         fvs_input = current_mask | 1 << new
         outcome = min_ifvs_given_fvs(prefix, fvs_input, lower=len(current), trace=trace)
-
-        fvs_size = fvs_input.bit_count()
         ext = outcome.stats
-        stats.f_max = max(stats.f_max, fvs_size)
-        stats.candidates += ext.candidates_scanned
-        stats.dp_cells += ext.dp_cells
-        stats.fallbacks += ext.fallbacks
-        stats.fallback_tests += ext.fallback_tests
-        stats.pruned += ext.pruned
-        stats.bound_pruned += ext.bound_pruned
-        stats.steps.append(
-            StepRecord(
-                prefix=size,
-                fvs_size=fvs_size,
-                min_ifvs=outcome.size,
-                candidates=ext.candidates_scanned,
-                dp_cells=ext.dp_cells,
-                fallbacks=ext.fallbacks,
-                fallback_tests=ext.fallback_tests,
-                pruned=ext.pruned,
-                bound_pruned=ext.bound_pruned,
-            )
+        step = StepRecord(
+            prefix=size,
+            fvs_size=fvs_input.bit_count(),
+            min_ifvs=outcome.size,
+            candidates=ext.candidates_scanned,
+            dp_cells=ext.dp_cells,
+            fallbacks=ext.fallbacks,
+            fallback_tests=ext.fallback_tests,
+            pruned=ext.pruned,
+            bound_pruned=ext.bound_pruned,
         )
+        stats.add(step)
         if progress is not None:
             shown = "-" if outcome.size is None else str(outcome.size)
             progress(
-                f"step {size}: {size} vertices, fvs = {fvs_size}, min = {shown}, "
-                f"candidates = {ext.candidates_scanned}, pruned = {ext.pruned}, "
-                f"bound_pruned = {ext.bound_pruned}, "
-                f"cells = {ext.dp_cells}, fallbacks = {ext.fallbacks}, "
-                f"fallback_tests = {ext.fallback_tests}"
+                f"step {size}: {size} vertices, fvs = {step.fvs_size}, min = {shown}, "
+                f"candidates = {step.candidates}, pruned = {step.pruned}, "
+                f"bound_pruned = {step.bound_pruned}, "
+                f"cells = {step.dp_cells}, fallbacks = {step.fallbacks}, "
+                f"fallback_tests = {step.fallback_tests}"
             )
         if outcome.absent:
             decision = "absent"

@@ -43,7 +43,7 @@ best total meets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 from .graph import Graph, bits, mask_of
@@ -128,59 +128,17 @@ class Candidate:
 
 
 @dataclass
-class CandidateRecord:
-    """Per-candidate instrumentation, kept for every scanned subset."""
-
-    fvs_part: int
-    size: int
-    accepted: bool
-    reject_reason: str = ""
-    l: int = 0
-    dp_cost: float = INFEASIBLE  # raw DP value, before the validity gate
-    cost: float = INFEASIBLE  # exact extension cost (post gate/fallback)
-    total_evals: int = 0
-    max_node_evals: int = 0  # largest count of one partial row
-    fallback: bool = False
-    fallback_tests: int = 0
-    pruned: bool = False  # could not beat the best total; exact cost never computed
-    cycles: int = 0  # disjoint cycles that pruned it before its DP (0: none did)
-
-    @property
-    def bound_pruned(self) -> bool:
-        return self.cycles > 0
-
-
-@dataclass
 class ExtensionStats:
-    records: list[CandidateRecord] = field(default_factory=list)
+    """Counters of one :func:`min_ifvs_given_fvs` call, filled during the scan."""
 
-    @property
-    def candidates_scanned(self) -> int:
-        return len(self.records)
-
-    @property
-    def candidates_accepted(self) -> int:
-        return sum(1 for r in self.records if r.accepted)
-
-    @property
-    def dp_cells(self) -> int:
-        return sum(r.total_evals for r in self.records)
-
-    @property
-    def fallbacks(self) -> int:
-        return sum(1 for r in self.records if r.fallback)
-
-    @property
-    def fallback_tests(self) -> int:
-        return sum(r.fallback_tests for r in self.records)
-
-    @property
-    def pruned(self) -> int:
-        return sum(1 for r in self.records if r.pruned)
-
-    @property
-    def bound_pruned(self) -> int:
-        return sum(1 for r in self.records if r.bound_pruned)
+    candidates_scanned: int = 0  # subsets of the fvs, 2**|f|
+    candidates_accepted: int = 0  # of those, independent with an acyclic rest
+    max_l: int = 0  # most components left by an accepted candidate
+    dp_cells: int = 0  # row evaluations over every DP run
+    fallbacks: int = 0  # exact searches run after a failed validity gate
+    fallback_tests: int = 0  # search nodes of those searches
+    pruned: int = 0  # accepted candidates that could not beat the best total
+    bound_pruned: int = 0  # of those, pruned by disjoint cycles before any DP
 
 
 @dataclass
@@ -737,78 +695,15 @@ def min_ifvs_given_fvs(
     the optimum of an induced subgraph; the scan stops once the best
     total equals it.  Reports absence when every candidate is
     infeasible.  Raises :class:`NotAnFvsError` when ``f`` is not an FVS.
+    ``trace`` receives the rooted forest, then one line per subset of
+    ``f`` as soon as the subset is rejected, pruned or costed, so the
+    lines follow the scan rather than bitmask order.
     """
     try:
         forest = root_forest(g, f)
     except NotAForestError as exc:
         raise NotAnFvsError("the provided set is not a feedback vertex set") from exc
-    want_tables = trace is not None and g.n <= 10
-
-    stats = ExtensionStats()
-    accepted: list[tuple[int, tuple[int, ...], CandidateRecord]] = []
-    for sub in _iter_subsets(f):
-        reason, comps = _admit(g.adj, f, sub)
-        rec = CandidateRecord(sub, sub.bit_count(), not reason, reject_reason=reason, l=len(comps))
-        stats.records.append(rec)
-        if not reason:
-            accepted.append((sub, comps, rec))
-    accepted.sort(key=lambda item: (item[2].size, item[0]))
-
-    # phase 1: the DP in ascending (size, bitmask) order, behind the
-    # validity gate.  Every improvement is strict, so ties keep the
-    # earlier candidate.  A candidate is built only once it is not pruned,
-    # by its size or by disjoint cycles that its extension must break.
-    best_total: float = INFEASIBLE
-    best_cert: int | None = None
-    trace_tables: dict[int, str] = {}
-    pending: list[tuple[int, Candidate, CandidateRecord]] = []
-    core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
-    for sub, comps, rec in accepted:
-        if best_total <= lower or rec.size >= best_total:
-            rec.pruned = True
-            continue
-        if best_total < INFEASIBLE:
-            gap = int(best_total) - rec.size  # at least 1, by the size test
-            cycles = _disjoint_cycles(g, core, sub, gap)
-            if cycles >= gap:
-                rec.pruned = True
-                rec.cycles = cycles
-                continue
-        cand = _build_candidate(g, f, sub, comps)
-        cost, extension, tables = _run_dp(g, forest, cand, best_total - cand.size)
-        rec.dp_cost = cost
-        rec.total_evals = sum(tables.row_evals)
-        rec.max_node_evals = max(tables.row_evals, default=0)
-        if want_tables:
-            trace_tables[cand.fvs_part] = _format_tables(tables)
-        if extension is None:
-            # infeasible, or the DP's lower bound cannot beat the best
-            rec.pruned = not math.isinf(cost)
-            continue
-        if not g.is_ifvs(cand.fvs_part | extension):
-            pending.append((cand.size + cost, cand, rec))
-            continue
-        rec.cost = cost
-        best_total = cand.size + cost
-        best_cert = cand.fvs_part | extension
-
-    # phase 2: candidates that failed the gate, cheapest DP bound first,
-    # so the established optimum caps each exact fallback search
-    pending.sort(key=lambda item: (item[0], item[1].size, item[1].fvs_part))
-    for bound, cand, rec in pending:
-        if best_total <= lower or bound >= best_total:
-            rec.pruned = True
-            continue
-        rec.fallback = True
-        size, ext, tests = _fallback_search(
-            g, cand, g.vertex_mask & ~f, bound - cand.size, best_total - cand.size
-        )
-        rec.fallback_tests = tests
-        if size is None:
-            continue
-        rec.cost = size
-        best_total = cand.size + size
-        best_cert = cand.fvs_part | ext  # type: ignore[operator]
+    stats = ExtensionStats(candidates_scanned=1 << f.bit_count())
 
     if trace is not None:
         trace.write(f"forest nodes ({len(forest.order)} vertices, v parent [children]):\n")
@@ -816,23 +711,89 @@ def min_ifvs_given_fvs(
             par = forest.parent[v]
             ch = " ".join(str(c) for c in forest.children[v])
             trace.write(f"{v} {'-' if par is None else par} [{ch}]\n")
-        for rec in stats.records:
-            members = "{" + ",".join(str(v) for v in bits(rec.fvs_part)) + "}"
-            if rec.accepted:
-                extra = f" l={rec.l}"
-                if not (rec.pruned and math.isinf(rec.dp_cost)):  # the DP ran
-                    extra += f" dp_cost={rec.dp_cost} evals={rec.total_evals}"
-                if rec.fallback:
-                    extra += f" fallback(tests={rec.fallback_tests})"
-                if rec.cycles:
-                    extra += f" pruned (cycles={rec.cycles})"
-                elif rec.pruned:
-                    extra += " pruned"
-                trace.write(f"candidate {members} accepted{extra}\n")
-                if rec.fvs_part in trace_tables:
-                    trace.write(trace_tables[rec.fvs_part] + "\n")
-            else:
-                trace.write(f"candidate {members} rejected ({rec.reject_reason})\n")
+
+    def note(sub: int, text: str, tables: str = "") -> None:
+        members = ",".join(str(v) for v in bits(sub))
+        trace.write(f"candidate {{{members}}} {text}\n{tables}")  # type: ignore[union-attr]
+
+    accepted: list[tuple[int, int, tuple[int, ...]]] = []
+    for sub in _iter_subsets(f):
+        reason, comps = _admit(g.adj, f, sub)
+        if not reason:
+            accepted.append((sub.bit_count(), sub, comps))
+        elif trace is not None:
+            note(sub, f"rejected ({reason})")
+    accepted.sort()  # by (size, bitmask): the subsets are distinct
+    stats.candidates_accepted = len(accepted)
+    stats.max_l = max((len(comps) for _, _, comps in accepted), default=0)
+
+    # phase 1: the DP in ascending (size, bitmask) order, behind the
+    # validity gate.  Every improvement is strict, so ties keep the
+    # earlier candidate.  A candidate is built only once it is not pruned,
+    # by its size or by disjoint cycles that its extension must break.
+    best_total: float = INFEASIBLE
+    best_cert: int | None = None
+    pending: list[tuple[int, int, int, Candidate, str, str]] = []
+    core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
+    for size, sub, comps in accepted:
+        if best_total <= lower or size >= best_total:
+            stats.pruned += 1
+            if trace is not None:
+                note(sub, f"accepted l={len(comps)} pruned")
+            continue
+        if best_total < INFEASIBLE:
+            gap = int(best_total) - size  # at least 1, by the size test
+            cycles = _disjoint_cycles(g, core, sub, gap)
+            if cycles >= gap:
+                stats.pruned += 1
+                stats.bound_pruned += 1
+                if trace is not None:
+                    note(sub, f"accepted l={len(comps)} pruned (cycles={cycles})")
+                continue
+        cand = _build_candidate(g, f, sub, comps)
+        cost, extension, tables = _run_dp(g, forest, cand, best_total - size)
+        evals = sum(tables.row_evals)
+        stats.dp_cells += evals
+        ran = shown = ""
+        if trace is not None:
+            ran = f"accepted l={cand.l} dp_cost={cost} evals={evals}"
+            if g.n <= 10:
+                shown = _format_tables(tables) + "\n"
+        if extension is None:
+            # infeasible, or the DP's lower bound cannot beat the best
+            pruned = not math.isinf(cost)
+            stats.pruned += pruned
+            if trace is not None:
+                note(sub, ran + (" pruned" if pruned else ""), shown)
+            continue
+        if not g.is_ifvs(sub | extension):
+            pending.append((size + cost, size, sub, cand, ran, shown))
+            continue
+        if trace is not None:
+            note(sub, ran, shown)
+        best_total = size + cost
+        best_cert = sub | extension
+
+    # phase 2: candidates that failed the gate, cheapest DP bound first,
+    # so the established optimum caps each exact fallback search
+    pending.sort()  # by (bound, size, bitmask): the subsets are distinct
+    for bound, size, sub, cand, ran, shown in pending:
+        if best_total <= lower or bound >= best_total:
+            stats.pruned += 1
+            if trace is not None:
+                note(sub, ran + " pruned", shown)
+            continue
+        stats.fallbacks += 1
+        found, ext, tests = _fallback_search(
+            g, cand, g.vertex_mask & ~f, bound - size, best_total - size
+        )
+        stats.fallback_tests += tests
+        if trace is not None:
+            note(sub, f"{ran} fallback(tests={tests})", shown)
+        if found is None:
+            continue
+        best_total = size + found
+        best_cert = sub | ext  # type: ignore[operator]
 
     if best_cert is None:
         return ExtensionOutcome(size=None, certificate=None, stats=stats)

@@ -37,7 +37,7 @@ from ifvs import (
     solve_ifvs,
     subdivide,
 )
-from ifvs.extension import _compute_tables
+from ifvs.extension import _compute_tables, _run_dp
 
 ALL_PAIRS_N5 = list(combinations(range(5), 2))
 
@@ -170,9 +170,10 @@ def test_criterion_6_work_bounds():
         _, fcert = brute_min_fvs(g)
         f = mask_of(fcert)
         out = min_ifvs_given_fvs(g, f)
-        for rec in out.stats.records:
-            if rec.accepted:
-                assert rec.max_node_evals <= 3 ** rec.l, (g.edges, rec)
+        forest = root_forest(g, f)
+        for cand in enumerate_candidates(g, f):
+            row_evals = _run_dp(g, forest, cand)[2].row_evals
+            assert max(row_evals, default=0) <= 3 ** cand.l, (g.edges, cand)
         budget = (4 ** f.bit_count()) * 3 * max(g.n, 1)
         assert out.stats.dp_cells <= budget, (g.edges, out.stats.dp_cells, budget)
     print("PASS criterion 6: work bounds hold on 300 random calls")

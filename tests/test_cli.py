@@ -61,6 +61,15 @@ def test_usage_errors_exit_two():
     assert "line 3" in proc.stderr
 
 
+@pytest.mark.parametrize("spec", ["4,10,1,1\n", "n,m,k,reps\n5,4,1,1\n5,4,-1,1\n"])
+def test_bench_rejects_a_row_the_solver_rejects(spec):
+    proc = run_cli("bench", "--spec", "-", stdin=spec)
+    assert proc.returncode == 2
+    line = spec.count("\n")
+    assert proc.stderr.startswith(f"ifvs: error: spec line {line}: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_text_and_json_agree():
     text = run_cli("ifvs", "--k", "1", stdin=C4_EDGELIST)
     as_json = run_cli("ifvs", "--k", "1", "--json", stdin=C4_EDGELIST)
@@ -75,6 +84,23 @@ def test_trace_goes_to_stderr():
     assert proc.returncode == 0
     assert "forest nodes" in proc.stderr and "candidate {" in proc.stderr
     assert "forest nodes" not in proc.stdout
+
+
+def test_trace_writes_one_line_per_subset_per_call():
+    from ifvs import format_edgelist, generate
+
+    # generate(8, 12, 1) at k=8 runs three exact fallbacks, whose
+    # candidates are traced in the last phase of their call
+    text = format_edgelist(generate(8, 12, 1))
+    proc = run_cli("ifvs", "--k", "8", "--json", "--no-timing", "--trace", stdin=text)
+    report = json.loads(proc.stdout)
+    calls = proc.stderr.split("forest nodes")[1:]
+    steps = [s for s in report["steps"] if not s["skipped"]]
+    assert len(calls) == len(steps)
+    for call, step in zip(calls, steps):
+        subsets = [line.split()[1] for line in call.splitlines() if line.startswith("candidate {")]
+        assert len(subsets) == len(set(subsets)) == step["candidates"] == 2 ** step["fvs_size"]
+    assert proc.stderr.count("fallback(tests=") == report["stats"]["fallbacks"] > 0
 
 
 def test_json_certificate_revalidates(tmp_path):

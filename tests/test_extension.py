@@ -218,11 +218,10 @@ def test_reported_sizes_are_minimal():
 def test_component_free_candidates_cost_one_eval_per_node():
     # with no components left, every node has a single one-split subset
     g = path(4)
-    out = min_ifvs_given_fvs(g, 0)
-    (record,) = out.stats.records
-    assert record.l == 0
-    assert record.max_node_evals == 1
-    assert record.total_evals == 4
+    stats = min_ifvs_given_fvs(g, 0).stats
+    assert (stats.candidates_accepted, stats.max_l, stats.dp_cells) == (1, 0, 4)
+    (cand,) = enumerate_candidates(g, 0)
+    assert _run_dp(g, root_forest(g, 0), cand)[2].row_evals == (1, 1, 1, 1)
 
 
 def test_per_node_split_budget():
@@ -230,10 +229,10 @@ def test_per_node_split_budget():
     for _ in range(150):
         g = random_graph(rng, n_max=12)
         _, fcert = brute_min_fvs(g)
-        out = min_ifvs_given_fvs(g, mask_of(fcert))
-        for rec in out.stats.records:
-            if rec.accepted:
-                assert rec.max_node_evals <= 3 ** rec.l
+        f = mask_of(fcert)
+        forest = root_forest(g, f)
+        for cand in enumerate_candidates(g, f):
+            assert max(_run_dp(g, forest, cand)[2].row_evals, default=0) <= 3**cand.l
 
 
 def _cell_scope_checks(g, f, cand, tables):
@@ -404,17 +403,68 @@ def test_per_candidate_exactness():
                 assert _fallback_search(g, cand, tree, 0, cap)[:2] == (None, None)
 
 
-def test_candidate_records_carry_the_exact_minimum():
-    # the gate's phase and the deferred fallback's phase both set a
-    # record's cost; every finite one is that candidate's true minimum
+def test_extension_reaches_the_exact_minimum():
+    # whether the gate's phase or the deferred fallback's phase sets the
+    # best total, it is the brute-force optimum; only a fallback reaches
+    # it on gate_fallback_wins
     fixtures = [gate_cross_tree(), gate_forced_fallback(), gate_single_tree(), gate_fallback_wins()]
-    by_fallback = 0
     for g, f in [*fixtures, *_fvs_corpus(99, 80)]:
-        for rec in min_ifvs_given_fvs(g, f).stats.records:
-            if not math.isinf(rec.cost):
-                assert rec.cost == _min_extension(g, f, rec.fvs_part), (g.edges, f)
-                by_fallback += rec.fallback
-    assert by_fallback > 0
+        out = min_ifvs_given_fvs(g, f)
+        best = brute_min_ifvs(g)
+        assert out.size == (None if best is None else best[0]), (g.edges, f)
+        if out.size is not None:
+            assert g.is_ifvs(mask_of(out.certificate))
+    assert min_ifvs_given_fvs(*gate_fallback_wins()).stats.fallbacks > 0
+
+
+def _grown_fvs_corpus(seed, count):
+    """``_fvs_corpus`` graphs, each FVS grown by a few random vertices."""
+    rng = random.Random(seed)
+    for g, f in _fvs_corpus(seed, count):
+        for v in range(g.n):
+            if rng.random() < 0.2:
+                f |= 1 << v
+        yield g, f
+
+
+def test_counters_match_the_candidate_scan():
+    for g, f in _grown_fvs_corpus(41, 150):
+        stats = min_ifvs_given_fvs(g, f).stats
+        cands = list(enumerate_candidates(g, f))
+        assert stats.candidates_scanned == 2 ** f.bit_count()
+        assert stats.candidates_accepted == len(cands)
+        assert stats.max_l == max((c.l for c in cands), default=0)
+        assert stats.bound_pruned <= stats.pruned <= stats.candidates_accepted
+        assert stats.fallbacks <= stats.candidates_accepted
+
+
+def test_trace_writes_one_line_per_subset():
+    # every subset of f gets exactly one line, the ones settled in the
+    # fallback phase included; each line of a candidate whose DP ran is
+    # followed by its tables, one line per forest vertex
+    import io
+
+    fallbacks = 0
+    corpus = [gate_forced_fallback(), gate_fallback_wins(), *_grown_fvs_corpus(42, 120)]
+    for g, f in corpus:
+        sink = io.StringIO()
+        out = min_ifvs_given_fvs(g, f, trace=sink)
+        fallbacks += out.stats.fallbacks
+        lines = sink.getvalue().splitlines()
+        forest = len(root_forest(g, f).order)
+        assert lines[0].startswith(f"forest nodes ({forest} vertices")
+        subsets = []
+        for i, line in enumerate(lines):
+            if not line.startswith("candidate {"):
+                continue
+            members = line[len("candidate {") : line.index("}")]
+            subsets.append(mask_of(int(v) for v in members.split(",") if v))
+            if "dp_cost=" in line:
+                tables = lines[i + 1 : i + 1 + forest]
+                assert all(t.startswith("    vertex ") for t in tables), line
+        assert sorted(subsets) == list(_iter_subsets(f)), (g.edges, f)
+        assert sum("fallback(tests=" in line for line in lines) == out.stats.fallbacks
+    assert fallbacks > 0
 
 
 def test_high_degree_trees_match_oracle():

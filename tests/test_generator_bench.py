@@ -1,7 +1,11 @@
+import random
+import time
+
 import pytest
 
-from ifvs import generate
+from ifvs import Graph, generate
 from ifvs.bench import CSV_HEADER, format_csv, parse_spec, run_bench
+from ifvs.io import MAX_EDGES, MAX_VERTICES
 
 
 def test_forced_complete_graph():
@@ -30,6 +34,31 @@ def test_bad_parameters():
         generate(3, -1, seed=0)
     with pytest.raises(ValueError):
         generate(0, 0, seed=0)
+    with pytest.raises(ValueError):
+        generate(MAX_VERTICES + 1, 1, seed=0)
+    with pytest.raises(ValueError):
+        generate(MAX_VERTICES, MAX_EDGES + 1, seed=0)
+
+
+def _generate_from_pair_list(n, m, seed):
+    """The generator as it was: sample ``m`` pairs from the full pair list."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, random.Random(seed).sample(pairs, m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 14, 20, 31, 60, 100])
+def test_generate_matches_the_pair_list_reference(n):
+    limit = n * (n - 1) // 2
+    for m in sorted({0, 1, limit // 3, limit // 2, limit - 1, limit} & set(range(limit + 1))):
+        for seed in (0, 1, 3, 7):
+            assert generate(n, m, seed) == _generate_from_pair_list(n, m, seed), (n, m, seed)
+
+
+def test_generate_needs_no_pair_list():
+    start = time.perf_counter()
+    g = generate(MAX_VERTICES, 3, 0)
+    assert time.perf_counter() - start < 5
+    assert (g.n, g.m) == (MAX_VERTICES, 3)
 
 
 def test_parse_spec():
@@ -43,6 +72,23 @@ def test_parse_spec():
     assert parse_spec("# family\n\nn,m,k,reps\n8,9,2,3\n") == [(8, 9, 2, 3)]
     with pytest.raises(ValueError, match="spec line 2: non-integer field"):
         parse_spec("8,9,2,3\nn,m,k,reps\n")
+
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4,10,1,1", "spec line 1: m must be in \\[0, 6\\] for n=4"),
+        ("5,-1,1,1", "spec line 1: m must be in"),
+        ("n,m,k,reps\n5,4,-1,1", "spec line 2: k must be >= 0"),
+        ("0,0,1,1", "spec line 1: n must be in"),
+        (f"{MAX_VERTICES + 1},1,1,1", "spec line 1: n must be in"),
+        (f"{MAX_VERTICES},{MAX_EDGES + 1},1,1", "spec line 1: m must be in"),
+    ],
+)
+def test_parse_spec_rejects_rows_the_solver_rejects(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_spec(text)
 
 
 def test_run_bench_shapes():

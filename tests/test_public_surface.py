@@ -1,14 +1,17 @@
 """The package's advertised surface must match what it exports.
 
-Every name in ``ifvs.__all__`` has to resolve, and the README's "Library"
+Every name in ``ifvs.__all__`` has to resolve, the README's "Library"
 example has to run as written and give the results its comments state,
-so a deletion cannot leave either one stale.
+and its JSON report example has to be what the command line prints, so
+a change to the code cannot leave any of them stale.
 """
 
+import io
 import re
 from pathlib import Path
 
 import ifvs
+from ifvs.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +33,11 @@ def test_readme_library_example_runs_as_written():
     assert out.decision == stated.group(1)
     assert repr(out.certificate) == stated.group(2)
     assert namespace["ext"].size == 1
+
+
+def test_readme_json_example_is_the_cli_output(monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"JSON report shape.*?```json\n(.*?)```", text, re.S).group(1)
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 4\n0 1\n1 2\n2 3\n3 0\n"))
+    assert main(["ifvs", "--k", "1", "--json", "--no-timing"]) == 0
+    assert capsys.readouterr().out == example
