@@ -4,18 +4,19 @@ Given a graph ``g`` and an FVS ``f``, every subset of ``f`` that is
 independent and leaves an acyclic remainder is a *candidate* for the part
 of the solution inside ``f``.  For each candidate the minimum number of
 forest vertices to add is found by a dynamic program over the rooted
-forest on ``V - f``, with table rows indexed by subsets of the connected
+forest on ``V - f``, with table rows keyed by subsets of the connected
 components of the undeleted part of ``f``:
 
 * ``keep[v][sv]`` - cheapest way to solve ``v``'s subtree with ``v``
   kept and its kept region linked to exactly the component subset ``sv``;
 * ``delete[v]`` - cheapest way with ``v`` deleted.
 
-A vertex's keep row is built by folding its children in one at a time,
-left to right: a leaf's row holds only its direct links, the first child
-seeds the row, and each later child is merged in by splitting the
-subset between the row so far and the child.  The partial rows are kept,
-so the traceback can walk back from the last child to the first.
+A keep row maps each subset of finite cost to that cost; most subsets
+are unreachable, since a kept region links only the components it
+touches.  Children are folded into the row one at a time, left to right:
+a leaf's row holds only its direct links, the first child seeds the row,
+and each later child pairs its entries with the row's on disjoint
+subsets.  The partial rows are kept for the traceback.
 
 Exact component-subset tracking prevents any cycle through a single kept
 region.  Two *different* kept regions (below a deleted vertex, or in
@@ -258,11 +259,13 @@ class DpTables:
     Tables are indexed by vertex id.  ``part[v][j]`` is forest vertex
     ``v``'s keep row once its children ``0..j`` are folded in, so
     ``part[v][-1]`` is the final row; a leaf, or a vertex that can never
-    be kept, has a single row.  ``row_evals`` holds one count per partial
-    row, in the order the rows were filled.
+    be kept, has a single row.  A row lacks every infeasible subset.
+    ``row_evals`` holds one count per partial row, in the order the rows
+    were filled.
 
     Traceback is deterministic: a later child's merge tries the splits in
-    ascending order before the option that deletes the child.
+    ascending order before the option that deletes the child, and a free
+    choice takes the smallest subset of least cost.
     """
 
     __slots__ = ("forest", "link", "part", "delete", "min_keep", "row_evals")
@@ -306,14 +309,15 @@ class DpTables:
                     raise AssertionError("tracing an infeasible cell")
                 # a deleted vertex leaves each child free to take its best row
                 for c in ch:
-                    stack.append((c, len(part[c]) - 1, part[c][-1].index(min_keep[c])))
+                    stack.append((c, len(part[c]) - 1, _argmin(part[c][-1], min_keep[c])))
                 continue
             if deleted & bit:
                 raise AssertionError("inconsistent keep/delete trace")
             kept |= bit
-            val = part[v][j][sv]
-            if math.isinf(val):
-                raise AssertionError("tracing an infeasible cell")
+            try:
+                val = part[v][j][sv]
+            except KeyError:
+                raise AssertionError("tracing an infeasible cell") from None
             if not ch:
                 continue
             c = ch[j]
@@ -322,7 +326,7 @@ class DpTables:
             wv = link[v]
             s = sv & ~wv
             if j == 0:
-                if s == 0 and kc[0] != val:
+                if s == 0 and kc.get(0) != val:
                     stack.append((c, None, 0))
                 else:
                     stack.append((c, last, s))
@@ -330,18 +334,27 @@ class DpTables:
             prev = part[v][j - 1]
             a = 0
             while True:
-                if prev[wv | a] + kc[s ^ a] == val:
+                if prev.get(wv | a, INFEASIBLE) + kc.get(s ^ a, INFEASIBLE) == val:
                     stack.append((v, j - 1, wv | a))
                     stack.append((c, last, s ^ a))
                     break
                 if a == s:
-                    if prev[wv | s] + delete[c] != val:
+                    if prev.get(wv | s, INFEASIBLE) + delete[c] != val:
                         raise AssertionError("no option reproduces the table value")
                     stack.append((v, j - 1, wv | s))
                     stack.append((c, None, 0))
                     break
                 a = (a - s) & s
         return kept, deleted
+
+
+def _argmin(row: dict[int, int], best: float) -> int:
+    """The smallest subset of ``row`` whose cost is ``best``."""
+    found = -1
+    for s, x in row.items():
+        if x == best and (found < 0 or s < found):
+            found = s
+    return found
 
 
 def _assignment(kept: int, deleted: int) -> dict[int, bool]:
@@ -384,58 +397,46 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
     """Fill the keep/delete tables bottom-up for one candidate.
 
     Each vertex's children are folded into its keep row left to right.
-    ``row_evals`` counts 1 for a leaf, one per subset for the row seeded
-    by the first child, and one per (subset, split) for every later
-    child's merge, so no row costs more than ``3**l``.
+    ``row_evals`` counts the dense recurrence, not the dict operations:
+    1 for a leaf, ``2**r`` for the row seeded by the first child and
+    ``3**r`` for each later child's merge, ``r`` being the components not
+    linked to the vertex directly, so no row counts more than ``3**l``.
     """
     kids = forest.children
-    nstates = 1 << cand.l
     INF = INFEASIBLE
     forb = cand.forbidden
 
     # indexed by vertex id; entries of fvs vertices stay unused
     link, dbl = _link_rows(g, cand)
-    part: list[list[list[float]]] = [[]] * g.n
+    part: list[list[dict[int, int]]] = [[]] * g.n
     delete = [INF] * g.n
     min_keep = [INF] * g.n
     evals: list[int] = []
-    # rows are never written once filled, so vertices may share them
-    single: dict[int, list[list[float]]] = {}  # one-row parts by link mask
 
     for v in reversed(forest.order):
         wv = link[v]
-        doubled = dbl >> v & 1
         ch = kids[v]
-        if doubled or not ch:
+        if dbl >> v & 1:
             # with two edges into one component, keeping v closes a cycle
-            key = -1 if doubled else wv
-            rows = single.get(key)
-            if rows is None:
-                row: list[float] = [INF] * nstates
-                if not doubled:
-                    row[wv] = 0
-                rows = single[key] = [row]
-            evals.append(0 if doubled else 1)
-            min_keep[v] = INF if doubled else 0
+            rows = [{}]
+            evals.append(0)
+        elif not ch:
+            rows = [{wv: 0}]
+            evals.append(1)
+            min_keep[v] = 0
         else:
-            rest = (nstates - 1) & ~wv
-            r = rest.bit_count()
+            r = cand.l - wv.bit_count()
             # first child: kept with its own subset, or deleted
             c = ch[0]
             kc = part[c][-1]
+            dc = delete[c]
             if wv:
-                row = [INF] * nstates
-                s = 0
-                while True:
-                    row[wv | s] = kc[s]
-                    if s == rest:
-                        break
-                    s = (s - rest) & rest
-                if delete[c] < row[wv]:
-                    row[wv] = delete[c]
-            elif delete[c] < kc[0]:
+                row = {wv | s: x for s, x in kc.items() if not s & wv}
+                if dc < row.get(wv, INF):
+                    row[wv] = dc
+            elif dc < kc.get(0, INF):
                 row = kc.copy()  # no direct links: every subset is the child's
-                row[0] = delete[c]
+                row[0] = dc
             else:
                 row = kc
             rows = [row]
@@ -444,29 +445,20 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
                 kc = part[c][-1]
                 dc = delete[c]
                 prev = row
-                row = [INF] * nstates
-                s = 0
-                while True:
-                    best = INF
-                    a = 0
-                    while True:
-                        x = prev[wv | a] + kc[s ^ a]
-                        if x < best:
-                            best = x
-                        if a == s:
-                            break
-                        a = (a - s) & s
-                    x = prev[wv | s] + dc
-                    if x < best:
-                        best = x
-                    row[wv | s] = best
-                    if s == rest:
-                        break
-                    s = (s - rest) & rest
+                row = {} if dc == INF else {p: x + dc for p, x in prev.items()}
+                pairs = kc.items()
+                # every key of prev holds wv, so a disjoint child key avoids it
+                for p, x in prev.items():
+                    for b, y in pairs:
+                        if not b & p:
+                            t = p | b
+                            z = x + y
+                            if z < row.get(t, INF):
+                                row[t] = z
                 rows.append(row)
                 evals.append(3**r)
             # a shared row is the only child's, so its minimum is known
-            min_keep[v] = min_keep[c] if row is kc else min(row)
+            min_keep[v] = min_keep[c] if row is kc else min(row.values(), default=INF)
         part[v] = rows
         if forb >> v & 1:
             delete[v] = INF  # deleting a neighbor of the chosen fvs part
@@ -505,7 +497,7 @@ def _run_dp(
         best = tables.best_for_root(r)
         if tables.min_keep[r] == best:
             rows = tables.part[r]
-            ops.append((r, len(rows) - 1, rows[-1].index(best)))
+            ops.append((r, len(rows) - 1, _argmin(rows[-1], best)))
         else:
             ops.append((r, None, 0))
     _, extension = tables._trace(ops)
@@ -609,7 +601,6 @@ def _disjoint_cycles(g: Graph, core: int, sub: int, cap: int) -> int:
 def _fallback_search(
     g: Graph,
     cand: Candidate,
-    tree_mask: int,
     lower: int,
     cap: float,
 ) -> tuple[int | None, int | None, int]:
@@ -629,7 +620,7 @@ def _fallback_search(
     """
     base = cand.fvs_part
     universe = g.vertex_mask & ~base
-    allowed_all = tree_mask & ~cand.forbidden
+    allowed_all = g.vertex_mask & ~(cand.fvs | cand.forbidden)
     adj = g.adj
     tests = 0
 
@@ -668,12 +659,12 @@ def _fallback_search(
     return None, None, tests
 
 
-def _format_tables(tables: DpTables) -> str:
+def _format_tables(tables: DpTables, l: int) -> str:
+    """Each vertex's final keep row over all ``2**l`` subsets, then its delete cost."""
     out = []
     for v in sorted(tables.forest.order):
-        cells = " ".join(
-            "-" if math.isinf(c) else str(int(c)) for c in tables.part[v][-1]
-        )
+        row = tables.part[v][-1]
+        cells = " ".join(str(row[s]) if s in row else "-" for s in range(1 << l))
         dval = "-" if math.isinf(tables.delete[v]) else str(int(tables.delete[v]))
         out.append(f"    vertex {v} keep=[{cells}] del={dval}")
     return "\n".join(out)
@@ -758,7 +749,7 @@ def min_ifvs_given_fvs(
         if trace is not None:
             ran = f"accepted l={cand.l} dp_cost={cost} evals={evals}"
             if g.n <= 10:
-                shown = _format_tables(tables) + "\n"
+                shown = _format_tables(tables, cand.l) + "\n"
         if extension is None:
             # infeasible, or the DP's lower bound cannot beat the best
             pruned = not math.isinf(cost)
@@ -784,9 +775,7 @@ def min_ifvs_given_fvs(
                 note(sub, ran + " pruned", shown)
             continue
         stats.fallbacks += 1
-        found, ext, tests = _fallback_search(
-            g, cand, g.vertex_mask & ~f, bound - size, best_total - size
-        )
+        found, ext, tests = _fallback_search(g, cand, bound - size, best_total - size)
         stats.fallback_tests += tests
         if trace is not None:
             note(sub, f"{ran} fallback(tests={tests})", shown)

@@ -201,9 +201,12 @@ def test_probe_counters_are_pinned():
     # counts are the work the solver does today, so a change to that work
     # shows up here and must update the pin on purpose.  dp_cells fell
     # from 139,348 when the disjoint-cycle bound began pruning candidates
-    # before their DP; the bound leaves the candidates and fallbacks alone
-    stats = solve_ifvs(generate(60, 75, 1), 60).stats
+    # before their DP; the bound leaves the candidates and fallbacks alone.
+    # dp_cells counts the dense recurrence, so sparse rows left it alone
+    out = solve_ifvs(generate(60, 75, 1), 60)
+    stats = out.stats
     assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (358, 24, 122_507)
+    assert out.certificate == (0, 3, 16, 20, 37, 43)
 
 
 def test_planted_counters_are_pinned():

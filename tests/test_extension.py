@@ -26,6 +26,7 @@ from ifvs import (
     brute_min_ifvs_extension,
     direct_component_links,
     enumerate_candidates,
+    generate,
     mask_of,
     min_ifvs_given_fvs,
     root_forest,
@@ -124,7 +125,7 @@ def test_k4_all_candidates_infeasible():
     for cand in cands:
         cost, ext, _ = _run_dp(g, forest, cand)
         assert cost == INFEASIBLE and ext is None
-        assert _fallback_search(g, cand, g.vertex_mask & ~f, 0, INFEASIBLE)[:2] == (None, None)
+        assert _fallback_search(g, cand, 0, INFEASIBLE)[:2] == (None, None)
 
 
 def test_min_ifvs_given_fvs_examples():
@@ -190,15 +191,14 @@ def test_gate_fires_on_cross_tree_and_forced_fixtures():
 def test_fallback_search_cost_cap():
     g, f = gate_forced_fallback()
     empty = _candidates(g, f)[0]
-    tree = g.vertex_mask & ~f
     cost, ext, _ = _run_dp(g, root_forest(g, f), empty)
     # the DP's certificate fails the gate, and the empty choice admits no
     # extension at all for this instance
     assert ext is not None and not g.is_ifvs(empty.fvs_part | ext)
-    size, ext, tests = _fallback_search(g, empty, tree, cost, INFEASIBLE)
+    size, ext, tests = _fallback_search(g, empty, cost, INFEASIBLE)
     assert size is None and ext is None and tests > 0
     # a cap at the DP's lower bound stops the search before its first node
-    assert _fallback_search(g, empty, tree, cost, cost) == (None, None, 0)
+    assert _fallback_search(g, empty, cost, cost) == (None, None, 0)
 
 
 def test_reported_sizes_are_minimal():
@@ -236,16 +236,16 @@ def test_per_node_split_budget():
 
 
 def _cell_scope_checks(g, f, cand, tables):
-    """Every finite cell of every partial keep row decodes to a region
-    that reaches exactly its subset and stays acyclic together with those
-    components."""
+    """Every cell of every partial keep row is finite and decodes to a
+    region that reaches exactly its subset and stays acyclic together
+    with those components."""
     comp_masks = cand.comp_masks
     for v in tables.forest.order:
         wv = tables.link[v]
         for j, row in enumerate(tables.part[v]):
-            for sv, val in enumerate(row):
-                if not math.isinf(val):
-                    _check_keep_cell(g, comp_masks, tables, v, j, sv, wv, val)
+            for sv, val in row.items():
+                assert not math.isinf(val)
+                _check_keep_cell(g, comp_masks, tables, v, j, sv, wv, val)
 
 
 def _check_keep_cell(g, comp_masks, tables, v, j, sv, wv, val):
@@ -288,8 +288,8 @@ def test_keep_cell_semantics_small_corpus():
 
 
 def test_keep_rows_infeasible_below_direct_links():
-    # subsets missing a directly linked component are never reachable,
-    # in any partial row
+    # subsets missing a directly linked component are never reachable, so
+    # no partial row stores one, and no row stores an infinite cost
     rng = random.Random(36)
     for _ in range(60):
         g = random_graph(rng, n_max=9)
@@ -300,9 +300,9 @@ def test_keep_rows_infeasible_below_direct_links():
             for v in tables.forest.order:
                 wv = tables.link[v]
                 for row in tables.part[v]:
-                    for sv, val in enumerate(row):
-                        if sv & wv != wv:
-                            assert math.isinf(val)
+                    for sv, val in row.items():
+                        assert sv & wv == wv
+                        assert not math.isinf(val)
                 if cand.forbidden >> v & 1:
                     assert math.isinf(tables.delete[v])
 
@@ -325,7 +325,7 @@ def test_link_rows_match_direct_component_links():
                 assert bool(doubled >> v & 1) == dbl
                 if dbl:
                     doubled_seen += 1
-                    assert all(math.isinf(x) for x in tables.part[v][-1])
+                    assert tables.part[v] == [{}]
             assert doubled & f == 0
     assert doubled_seen > 0
 
@@ -388,11 +388,10 @@ def test_per_candidate_exactness():
     # capped at or below it
     for g, f in _fvs_corpus(99, 80):
         forest = root_forest(g, f)
-        tree = g.vertex_mask & ~f
         for cand in enumerate_candidates(g, f):
             true_min = _min_extension(g, f, cand.fvs_part)
             raw_cost, _, _ = _run_dp(g, forest, cand)
-            size, ext, _ = _fallback_search(g, cand, tree, 0, INFEASIBLE)
+            size, ext, _ = _fallback_search(g, cand, 0, INFEASIBLE)
             if true_min is None:
                 assert size is None and ext is None
                 continue
@@ -400,7 +399,7 @@ def test_per_candidate_exactness():
             assert size == true_min == ext.bit_count()
             assert g.is_ifvs(cand.fvs_part | ext)
             for cap in range(true_min + 1):
-                assert _fallback_search(g, cand, tree, 0, cap)[:2] == (None, None)
+                assert _fallback_search(g, cand, 0, cap)[:2] == (None, None)
 
 
 def test_extension_reaches_the_exact_minimum():
@@ -510,7 +509,24 @@ def test_trace_output():
     assert lines[1:4] == ["1 - [2]", "2 1 [3]", "3 2 []"]
     assert "candidate {} accepted" in text
     assert "candidate {0} accepted" in text
-    assert "keep=[" in text
+    # each final keep row is dumped densely, "-" for an infeasible subset
+    assert lines[5:8] == [
+        "    vertex 1 keep=[- 1] del=1",
+        "    vertex 2 keep=[1 0] del=1",
+        "    vertex 3 keep=[- 0] del=1",
+    ]
+    # with l = 2 components the rows have four cells, in subset order
+    sink = io.StringIO()
+    min_ifvs_given_fvs(generate(7, 10, 3), mask_of([0, 3]), trace=sink)
+    lines = sink.getvalue().splitlines()
+    assert lines[6:12] == [
+        "candidate {} accepted l=2 dp_cost=2 evals=13",
+        "    vertex 1 keep=[- - 2 3] del=2",
+        "    vertex 2 keep=[- - - 0] del=1",
+        "    vertex 4 keep=[- - 0 -] del=1",
+        "    vertex 5 keep=[- 2 - 1] del=1",
+        "    vertex 6 keep=[- - 0 -] del=1",
+    ]
 
 
 def test_lower_bound_keeps_the_optimum():

@@ -1,0 +1,59 @@
+"""Digest of every answer and counter on the benchmark's seed-1 tasks.
+
+Usage (from the repository root)::
+
+    python3 tools/answer_digest.py
+
+Solves every seed-1 task of each workload in ``perfbench/workloads.py``
+with the ``ifvs`` package of this checkout and prints, per workload, the
+task count, one SHA-256 over the decisions, certificates and every
+``SolveStats`` and ``StepRecord`` field except ``ms``, and the counter
+totals.  Two checkouts that print the same lines gave the same answers
+and did the same counted work; a change meant to keep behaviour runs it
+on both sides and compares.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import astuple, fields
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+import ifvs  # noqa: E402
+from ifvs.compression import SolveStats  # noqa: E402
+
+TOTALS = tuple(f.name for f in fields(SolveStats) if f.name not in ("ms", "steps"))
+
+
+def digest(w: workloads.Workload) -> tuple[int, str, dict[str, int]]:
+    """``(tasks, sha256, totals)`` over the seed-1 tasks of ``w``."""
+    solve = ifvs.solve_ifvs if w.problem == "ifvs" else ifvs.solve_fvs
+    tasks = workloads.build_tasks(w, workloads.DEFAULT_SEED)
+    sha = hashlib.sha256()
+    totals = dict.fromkeys(TOTALS, 0)
+    for task in tasks:
+        out = solve(ifvs.load_graph(task.text), task.k)
+        st = out.stats
+        steps = [astuple(step) for step in st.steps]
+        counters = tuple(getattr(st, name) for name in TOTALS)
+        sha.update(repr((out.decision, out.certificate, counters, steps)).encode())
+        for name, value in zip(TOTALS, counters):
+            totals[name] = max(totals[name], value) if name == "f_max" else totals[name] + value
+    return len(tasks), sha.hexdigest(), totals
+
+
+def main() -> None:
+    for name, w in workloads.WORKLOADS.items():
+        count, sha, totals = digest(w)
+        print(f"{name}: tasks={count} sha256={sha}")
+        print("  " + " ".join(f"{key}={value}" for key, value in totals.items()))
+
+
+if __name__ == "__main__":
+    main()
