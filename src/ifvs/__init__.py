@@ -16,8 +16,6 @@ from .extension import (
     INFEASIBLE,
     NotAForestError,
     NotAnFvsError,
-    direct_component_links,
-    enumerate_candidates,
     min_ifvs_given_fvs,
     root_forest,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "brute_min_ifvs",
     "brute_min_ifvs_extension",
     "decide_prefix_chain",
-    "direct_component_links",
-    "enumerate_candidates",
     "format_edgelist",
     "generate",
     "load_graph",

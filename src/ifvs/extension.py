@@ -16,7 +16,9 @@ are unreachable, since a kept region links only the components it
 touches.  Children are folded into the row one at a time, left to right:
 a leaf's row holds only its direct links, the first child seeds the row,
 and each later child pairs its entries with the row's on disjoint
-subsets.  The partial rows are kept for the traceback.
+subsets.  Each value also carries a mark per deleted vertex (see
+:class:`DpTables`), so the least total over the roots decodes into its
+own deletions, and no traceback is needed.
 
 Exact component-subset tracking prevents any cycle through a single kept
 region.  Two *different* kept regions (below a deleted vertex, or in
@@ -65,13 +67,18 @@ class RootedForest:
     """The forest on ``V - f``, each tree rooted at its smallest vertex id.
 
     ``order`` lists every forest vertex in breadth-first order, tree by
-    tree, so each parent comes before its children.
+    tree, so each parent comes before its children.  ``mark[v]`` is the
+    DP's deletion mark of vertex ``v``: bit ``i`` for the forest vertex of
+    tie-break rank ``i``, 0 for an fvs vertex.  The rank orders the forest
+    vertices by descending degree in the graph, then by ascending id, so
+    among optimal extensions the DP deletes high-degree vertices.
     """
 
     roots: tuple[int, ...]
     parent: dict[int, int | None]
     children: dict[int, tuple[int, ...]]
     order: tuple[int, ...]
+    mark: tuple[int, ...]
 
 
 def root_forest(g: Graph, f: int) -> RootedForest:
@@ -113,7 +120,11 @@ def root_forest(g: Graph, f: int) -> RootedForest:
             children[v] = kids
             order.extend(kids)
         rest = remaining & ~seen
-    return RootedForest(tuple(roots), parent, children, tuple(order))
+    mark = [0] * g.n
+    # a stable sort by descending degree keeps equal degrees in id order
+    for i, v in enumerate(sorted(sorted(order), key=lambda v: adj[v].bit_count(), reverse=True)):
+        mark[v] = 1 << i
+    return RootedForest(tuple(roots), parent, children, tuple(order), tuple(mark))
 
 
 @dataclass(frozen=True)
@@ -224,7 +235,9 @@ def enumerate_candidates(g: Graph, f: int) -> Iterator[Candidate]:
 
     A subset qualifies iff it is independent and the rest of ``f``
     induces an acyclic subgraph.  Subsets stream in ascending bitmask
-    order; the empty set is always considered.
+    order; the empty set is always considered.  The solver admits
+    subsets inside :func:`min_ifvs_given_fvs`; this is the reference the
+    tests hold that scan to.
     """
     if not g.is_fvs(f):
         raise NotAnFvsError("candidate enumeration requires a feedback vertex set")
@@ -239,7 +252,8 @@ def direct_component_links(g: Graph, cand: Candidate, v: int) -> tuple[int, bool
 
     Returns ``(component bitmask, doubled)`` where ``doubled`` is set when
     ``v`` has two or more edges into one component; keeping such a vertex
-    closes a cycle through that component no matter what.
+    closes a cycle through that component no matter what.  This is the
+    per-vertex reference for :func:`_link_rows`, which the DP uses.
     """
     linked = 0
     doubled = False
@@ -254,114 +268,45 @@ def direct_component_links(g: Graph, cand: Candidate, v: int) -> tuple[int, bool
 
 
 class DpTables:
-    """Filled cost tables for one candidate, with cell-level traceback.
+    """Filled tables for one candidate, indexed by vertex id.
 
-    Tables are indexed by vertex id.  ``part[v][j]`` is forest vertex
-    ``v``'s keep row once its children ``0..j`` are folded in, so
-    ``part[v][-1]`` is the final row; a leaf, or a vertex that can never
-    be kept, has a single row.  A row lacks every infeasible subset.
-    ``row_evals`` holds one count per partial row, in the order the rows
-    were filled.
-
-    Traceback is deterministic: a later child's merge tries the splits in
-    ascending order before the option that deletes the child, and a free
-    choice takes the smallest subset of least cost.
+    Every value is ``cost << p | marks``, ``p`` being the number of forest
+    vertices: ``marks`` is the union of the :attr:`RootedForest.mark` bits
+    of the vertices the value deletes.  The values of disjoint subtrees
+    never share a mark, so their sum adds the costs and unions the
+    deletions at once, and the least value is the least cost with ties
+    broken by the tie-break rank.  ``keep[v]`` maps each reachable subset
+    to its value, and lacks every infeasible one; ``delete[v]`` is at
+    least ``(p + 1) << p`` when deleting ``v`` is infeasible.  ``best``
+    is the sum of every root's least value.  ``row_evals`` holds one count
+    per leaf and per child folded in, in fill order.
     """
 
-    __slots__ = ("forest", "link", "part", "delete", "min_keep", "row_evals")
+    __slots__ = ("forest", "keep", "delete", "best", "row_evals")
 
-    def __init__(self, forest, link, part, delete, min_keep, row_evals):
+    def __init__(self, forest, keep, delete, best, row_evals):
         self.forest = forest
-        self.link = link
-        self.part = part
+        self.keep = keep
         self.delete = delete
-        self.min_keep = min_keep
+        self.best = best
         self.row_evals = row_evals
 
-    def best_for_root(self, r: int) -> float:
-        return min(self.min_keep[r], self.delete[r])
 
-    def trace_keep(self, v: int, sv: int, j: int = -1) -> dict[int, bool]:
-        """Kept/deleted assignment below ``v`` for the cell ``part[v][j][sv]``."""
-        return _assignment(*self._trace([(v, j % len(self.part[v]), sv)]))
-
-    def _trace(self, stack: list[tuple[int, int | None, int]]) -> tuple[int, int]:
-        """Pop ``(v, j, sv)`` cells: ``part[v][j][sv]``, or ``delete[v]`` when ``j`` is None.
-
-        Returns the ``(kept, deleted)`` vertex masks of the cells walked.
-        """
-        kids = self.forest.children
-        part = self.part
-        delete = self.delete
-        min_keep = self.min_keep
-        link = self.link
-        kept = deleted = 0
-
-        while stack:
-            v, j, sv = stack.pop()
-            bit = 1 << v
-            ch = kids[v]
-            if j is None:
-                if kept & bit:
-                    raise AssertionError("inconsistent keep/delete trace")
-                deleted |= bit
-                if math.isinf(delete[v]):
-                    raise AssertionError("tracing an infeasible cell")
-                # a deleted vertex leaves each child free to take its best row
-                for c in ch:
-                    stack.append((c, len(part[c]) - 1, _argmin(part[c][-1], min_keep[c])))
-                continue
-            if deleted & bit:
-                raise AssertionError("inconsistent keep/delete trace")
-            kept |= bit
-            try:
-                val = part[v][j][sv]
-            except KeyError:
-                raise AssertionError("tracing an infeasible cell") from None
-            if not ch:
-                continue
-            c = ch[j]
-            kc = part[c][-1]
-            last = len(part[c]) - 1
-            wv = link[v]
-            s = sv & ~wv
-            if j == 0:
-                if s == 0 and kc.get(0) != val:
-                    stack.append((c, None, 0))
-                else:
-                    stack.append((c, last, s))
-                continue
-            prev = part[v][j - 1]
-            a = 0
-            while True:
-                if prev.get(wv | a, INFEASIBLE) + kc.get(s ^ a, INFEASIBLE) == val:
-                    stack.append((v, j - 1, wv | a))
-                    stack.append((c, last, s ^ a))
-                    break
-                if a == s:
-                    if prev.get(wv | s, INFEASIBLE) + delete[c] != val:
-                        raise AssertionError("no option reproduces the table value")
-                    stack.append((v, j - 1, wv | s))
-                    stack.append((c, None, 0))
-                    break
-                a = (a - s) & s
-        return kept, deleted
+def _cost(forest: RootedForest, value: int) -> float:
+    """The cost of a table value, or INFEASIBLE."""
+    p = len(forest.order)
+    cost = value >> p
+    return cost if cost <= p else INFEASIBLE
 
 
-def _argmin(row: dict[int, int], best: float) -> int:
-    """The smallest subset of ``row`` whose cost is ``best``."""
-    found = -1
-    for s, x in row.items():
-        if x == best and (found < 0 or s < found):
-            found = s
-    return found
-
-
-def _assignment(kept: int, deleted: int) -> dict[int, bool]:
-    """``{v: True}`` for each kept vertex, ``{v: False}`` for each deleted one."""
-    assign = dict.fromkeys(bits(kept), True)
-    assign.update(dict.fromkeys(bits(deleted), False))
-    return assign
+def _deleted(forest: RootedForest, value: int) -> int:
+    """The mask of the forest vertices whose marks a table value carries."""
+    mark = forest.mark
+    deleted = 0
+    for v in forest.order:
+        if value & mark[v]:
+            deleted |= 1 << v
+    return deleted
 
 
 def _link_rows(g: Graph, cand: Candidate) -> tuple[list[int], int]:
@@ -403,12 +348,15 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
     linked to the vertex directly, so no row counts more than ``3**l``.
     """
     kids = forest.children
-    INF = INFEASIBLE
+    mark = forest.mark
+    p = len(forest.order)
+    unit = 1 << p  # one deletion's cost, above every mark
+    INF = (p + 1) << p  # above every feasible value
     forb = cand.forbidden
 
     # indexed by vertex id; entries of fvs vertices stay unused
     link, dbl = _link_rows(g, cand)
-    part: list[list[dict[int, int]]] = [[]] * g.n
+    keep: list[dict[int, int]] = [{}] * g.n
     delete = [INF] * g.n
     min_keep = [INF] * g.n
     evals: list[int] = []
@@ -418,17 +366,17 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
         ch = kids[v]
         if dbl >> v & 1:
             # with two edges into one component, keeping v closes a cycle
-            rows = [{}]
+            row = {}
             evals.append(0)
         elif not ch:
-            rows = [{wv: 0}]
+            row = {wv: 0}
             evals.append(1)
             min_keep[v] = 0
         else:
             r = cand.l - wv.bit_count()
             # first child: kept with its own subset, or deleted
             c = ch[0]
-            kc = part[c][-1]
+            kc = keep[c]
             dc = delete[c]
             if wv:
                 row = {wv | s: x for s, x in kc.items() if not s & wv}
@@ -439,37 +387,38 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
                 row[0] = dc
             else:
                 row = kc
-            rows = [row]
             evals.append(1 << r)
             for c in ch[1:]:
-                kc = part[c][-1]
+                kc = keep[c]
                 dc = delete[c]
                 prev = row
-                row = {} if dc == INF else {p: x + dc for p, x in prev.items()}
+                row = {} if dc >= INF else {s: x + dc for s, x in prev.items()}
                 pairs = kc.items()
                 # every key of prev holds wv, so a disjoint child key avoids it
-                for p, x in prev.items():
+                for s, x in prev.items():
                     for b, y in pairs:
-                        if not b & p:
-                            t = p | b
+                        if not b & s:
+                            t = s | b
                             z = x + y
                             if z < row.get(t, INF):
                                 row[t] = z
-                rows.append(row)
                 evals.append(3**r)
             # a shared row is the only child's, so its minimum is known
             min_keep[v] = min_keep[c] if row is kc else min(row.values(), default=INF)
-        part[v] = rows
-        if forb >> v & 1:
-            delete[v] = INF  # deleting a neighbor of the chosen fvs part
-        else:
-            # a deleted vertex forces its children to stay
-            cost = 1
+        keep[v] = row
+        # deleting a neighbor of the chosen fvs part is infeasible; a
+        # deleted vertex forces its children to stay, and an infeasible
+        # child leaves the sum at least INF
+        if not forb >> v & 1:
+            value = unit | mark[v]
             for c in ch:
-                cost += min_keep[c]
-            delete[v] = cost
+                value += min_keep[c]
+            delete[v] = value
 
-    return DpTables(forest, link, part, delete, min_keep, tuple(evals))
+    best = 0
+    for r in forest.roots:
+        best += min(min_keep[r], delete[r])
+    return DpTables(forest, keep, delete, best, tuple(evals))
 
 
 def _run_dp(
@@ -478,32 +427,20 @@ def _run_dp(
     cand: Candidate,
     cap: float = INFEASIBLE,
 ) -> tuple[float, int | None, DpTables]:
-    """Tables plus one optimal root-level assignment per tree.
+    """Tables plus the deletions of their least value.
 
-    Returns ``(cost, extension_mask, tables)``;
-    ``extension_mask`` is None when some tree admits no assignment at
-    all (cost INFEASIBLE) or when the cost is not below ``cap``, in which
-    case the traceback is skipped.
+    Returns ``(cost, extension_mask, tables)``; ``extension_mask`` is None
+    when some tree admits no assignment at all (cost INFEASIBLE) or when
+    the cost is not below ``cap``.
     """
     tables = _compute_tables(g, forest, cand)
-    total: float = 0
-    for r in forest.roots:
-        total += tables.best_for_root(r)
-    if not total < cap:
-        return total, None, tables
-
-    ops: list[tuple[int, int | None, int]] = []
-    for r in forest.roots:
-        best = tables.best_for_root(r)
-        if tables.min_keep[r] == best:
-            rows = tables.part[r]
-            ops.append((r, len(rows) - 1, _argmin(rows[-1], best)))
-        else:
-            ops.append((r, None, 0))
-    _, extension = tables._trace(ops)
-    if extension.bit_count() != total:
-        raise AssertionError("trace cost disagrees with the table optimum")
-    return int(total), extension, tables
+    cost = _cost(forest, tables.best)
+    if not cost < cap:
+        return cost, None, tables
+    extension = _deleted(forest, tables.best)
+    if extension.bit_count() != cost:
+        raise AssertionError("the deletion marks disagree with the DP cost")
+    return cost, extension, tables
 
 
 def _strip(adj: tuple[int, ...], core: int, todo: int) -> int:
@@ -660,12 +597,14 @@ def _fallback_search(
 
 
 def _format_tables(tables: DpTables, l: int) -> str:
-    """Each vertex's final keep row over all ``2**l`` subsets, then its delete cost."""
+    """Each vertex's keep row over all ``2**l`` subsets, then its delete cost."""
+    forest = tables.forest
     out = []
-    for v in sorted(tables.forest.order):
-        row = tables.part[v][-1]
-        cells = " ".join(str(row[s]) if s in row else "-" for s in range(1 << l))
-        dval = "-" if math.isinf(tables.delete[v]) else str(int(tables.delete[v]))
+    for v in sorted(forest.order):
+        row = tables.keep[v]
+        cells = " ".join(str(_cost(forest, row[s])) if s in row else "-" for s in range(1 << l))
+        dcost = _cost(forest, tables.delete[v])
+        dval = "-" if math.isinf(dcost) else str(dcost)
         out.append(f"    vertex {v} keep=[{cells}] del={dval}")
     return "\n".join(out)
 

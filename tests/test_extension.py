@@ -24,8 +24,6 @@ from ifvs import (
     brute_min_fvs,
     brute_min_ifvs,
     brute_min_ifvs_extension,
-    direct_component_links,
-    enumerate_candidates,
     generate,
     mask_of,
     min_ifvs_given_fvs,
@@ -35,6 +33,8 @@ from ifvs import extension
 from ifvs.extension import (
     _admit,
     _compute_tables,
+    _cost,
+    _deleted,
     _disjoint_cycles,
     _fallback_search,
     _find_cycle,
@@ -42,6 +42,8 @@ from ifvs.extension import (
     _link_rows,
     _run_dp,
     _strip,
+    direct_component_links,
+    enumerate_candidates,
 )
 
 
@@ -98,12 +100,23 @@ def test_run_dp_c4():
     forest = root_forest(g, f)
     empty, single = _candidates(g, f)
     cost, ext, _ = _run_dp(g, forest, empty)
-    # one deletion on the path 1-2-3; this tie-break keeps the root side
-    assert cost == 1 and ext == mask_of([3])
+    # one deletion on the path 1-2-3; the degrees tie, so the tie-break
+    # rank deletes the lowest id
+    assert cost == 1 and ext == mask_of([1])
     assert g.is_ifvs(empty.fvs_part | ext)
     cost, ext, _ = _run_dp(g, forest, single)
     assert cost == 0 and ext == 0
     assert g.is_ifvs(single.fvs_part | ext)
+
+
+def test_run_dp_ties_delete_the_highest_degree():
+    # the four-cycle plus a pendant edge at 2: deleting 1, 2 or 3 breaks
+    # the cycle through 0, and the tie-break rank picks 2, of degree 3
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
+    f = mask_of([0])
+    empty = _candidates(g, f)[0]
+    cost, ext, _ = _run_dp(g, root_forest(g, f), empty)
+    assert cost == 1 and ext == mask_of([2])
 
 
 def test_run_dp_triangle_choice_inside_fvs():
@@ -236,33 +249,42 @@ def test_per_node_split_budget():
 
 
 def _cell_scope_checks(g, f, cand, tables):
-    """Every cell of every partial keep row is finite and decodes to a
-    region that reaches exactly its subset and stays acyclic together
-    with those components."""
+    """Every cell of every keep row is finite and decodes to a region that
+    reaches exactly its subset and stays acyclic together with those
+    components."""
     comp_masks = cand.comp_masks
+    link, _ = _link_rows(g, cand)
     for v in tables.forest.order:
-        wv = tables.link[v]
-        for j, row in enumerate(tables.part[v]):
-            for sv, val in row.items():
-                assert not math.isinf(val)
-                _check_keep_cell(g, comp_masks, tables, v, j, sv, wv, val)
+        wv = link[v]
+        for sv, val in tables.keep[v].items():
+            assert not math.isinf(_cost(tables.forest, val))
+            _check_keep_cell(g, cand, comp_masks, tables, v, sv, wv, val)
 
 
-def _check_keep_cell(g, comp_masks, tables, v, j, sv, wv, val):
-    assert sv & wv == wv  # reachable subsets carry the direct links
-    assign = tables.trace_keep(v, sv, j)
-    assert assign[v] is True
-    # the partial row covers v and the subtrees of its children 0..j
-    covered = {v}
-    stack = list(tables.forest.children[v][: j + 1])
+def _subtree(forest, v):
+    """The mask of ``v`` and every vertex below it."""
+    covered = 0
+    stack = [v]
     while stack:
         c = stack.pop()
-        covered.add(c)
-        stack.extend(tables.forest.children[c])
-    assert set(assign) == covered
-    assert sum(1 for kept in assign.values() if not kept) == val
-    kept_mask = mask_of(u for u, kept in assign.items() if kept)
-    region = next(c for c in g.components_within(kept_mask) if c >> v & 1)
+        covered |= 1 << c
+        stack.extend(forest.children[c])
+    return covered
+
+
+def _check_keep_cell(g, cand, comp_masks, tables, v, sv, wv, val):
+    assert sv & wv == wv  # reachable subsets carry the direct links
+    forest = tables.forest
+    deleted = _deleted(forest, val)
+    subtree = _subtree(forest, v)
+    # the value's marks name deletions in v's subtree, v itself kept, and
+    # none of them next to another or to the chosen fvs part
+    assert deleted & ~subtree == 0 and not deleted >> v & 1
+    assert deleted.bit_count() == _cost(forest, val)
+    p = len(forest.order)
+    assert val == deleted.bit_count() << p | sum(forest.mark[u] for u in bits(deleted))
+    assert g.is_independent_set(deleted) and deleted & cand.forbidden == 0
+    region = next(c for c in g.components_within(subtree & ~deleted) if c >> v & 1)
     attached = g.neighbors(region)
     reached = {i for i, cm in enumerate(comp_masks) if attached & cm}
     assert reached == set(bits(sv))
@@ -289,7 +311,7 @@ def test_keep_cell_semantics_small_corpus():
 
 def test_keep_rows_infeasible_below_direct_links():
     # subsets missing a directly linked component are never reachable, so
-    # no partial row stores one, and no row stores an infinite cost
+    # no keep row stores one, and no row stores an infeasible value
     rng = random.Random(36)
     for _ in range(60):
         g = random_graph(rng, n_max=9)
@@ -297,14 +319,14 @@ def test_keep_rows_infeasible_below_direct_links():
         f = mask_of(fcert)
         for cand in enumerate_candidates(g, f):
             tables = _compute_tables(g, root_forest(g, f), cand)
+            link, _ = _link_rows(g, cand)
             for v in tables.forest.order:
-                wv = tables.link[v]
-                for row in tables.part[v]:
-                    for sv, val in row.items():
-                        assert sv & wv == wv
-                        assert not math.isinf(val)
+                wv = link[v]
+                for sv, val in tables.keep[v].items():
+                    assert sv & wv == wv
+                    assert not math.isinf(_cost(tables.forest, val))
                 if cand.forbidden >> v & 1:
-                    assert math.isinf(tables.delete[v])
+                    assert math.isinf(_cost(tables.forest, tables.delete[v]))
 
 
 def test_link_rows_match_direct_component_links():
@@ -321,11 +343,11 @@ def test_link_rows_match_direct_component_links():
             tables = _compute_tables(g, root_forest(g, f), cand)
             for v in tables.forest.order:
                 wv, dbl = direct_component_links(g, cand, v)
-                assert link[v] == tables.link[v] == wv
+                assert link[v] == wv
                 assert bool(doubled >> v & 1) == dbl
                 if dbl:
                     doubled_seen += 1
-                    assert tables.part[v] == [{}]
+                    assert tables.keep[v] == {}
             assert doubled & f == 0
     assert doubled_seen > 0
 

@@ -60,3 +60,6 @@ def test_root_forest_raises_exactly_on_a_cycle_and_matches_bfs(data):
         return
     rf = root_forest(g, f)
     assert (rf.roots, rf.parent, rf.children, rf.order) == reference_bfs(g, f)
+    # the DP's tie-break rank: descending degree, then ascending id
+    ranked = sorted(rf.order, key=lambda v: (-g.degree(v), v))
+    assert rf.mark == tuple(1 << ranked.index(v) if v in ranked else 0 for v in range(g.n))

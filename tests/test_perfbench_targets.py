@@ -10,8 +10,9 @@ from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
-# deleted with the binarized forest; the benchmark still lists it
-KNOWN_MISSING = {"ifvs.extension.binarize"}
+# deleted with the binarized forest, and with the traceback once DP
+# values carried their own deletions; the benchmark still lists both
+KNOWN_MISSING = {"ifvs.extension.binarize", "ifvs.extension.DpTables._trace"}
 
 
 def span_targets() -> list[tuple[str, str]]:

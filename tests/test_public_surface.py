@@ -28,7 +28,7 @@ def test_readme_library_example_runs_as_written():
     namespace: dict = {}
     exec(code, namespace)
     stated = re.search(r'# decision "(\w+)", certificate (\(.*?\))', code)
-    assert stated.groups() == ("yes", "(2,)")
+    assert stated.groups() == ("yes", "(0,)")
     out = namespace["out"]
     assert out.decision == stated.group(1)
     assert repr(out.certificate) == stated.group(2)

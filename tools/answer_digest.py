@@ -7,10 +7,13 @@ Usage (from the repository root)::
 Solves every seed-1 task of each workload in ``perfbench/workloads.py``
 with the ``ifvs`` package of this checkout and prints, per workload, the
 task count, one SHA-256 over the decisions, certificates and every
-``SolveStats`` and ``StepRecord`` field except ``ms``, and the counter
-totals.  Two checkouts that print the same lines gave the same answers
-and did the same counted work; a change meant to keep behaviour runs it
-on both sides and compares.
+``SolveStats`` and ``StepRecord`` field except ``ms``, a second SHA-256
+(``optima=``) over each task's decision and certificate size only, and
+the counter totals.  Two checkouts that print the same lines gave the
+same answers and did the same counted work; a change meant to keep
+behaviour runs it on both sides and compares.  A change that may move
+tie-breaks, and so certificates and counters, must still print the same
+``optima=`` digest.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from ifvs.compression import SolveStats  # noqa: E402
 TOTALS = tuple(f.name for f in fields(SolveStats) if f.name not in ("ms", "steps"))
 
 
-def digest(w: workloads.Workload) -> tuple[int, str, dict[str, int]]:
-    """``(tasks, sha256, totals)`` over the seed-1 tasks of ``w``."""
+def digest(w: workloads.Workload) -> tuple[int, str, str, dict[str, int]]:
+    """``(tasks, sha256, optima sha256, totals)`` over the seed-1 tasks of ``w``."""
     solve = ifvs.solve_ifvs if w.problem == "ifvs" else ifvs.solve_fvs
     tasks = workloads.build_tasks(w, workloads.DEFAULT_SEED)
     sha = hashlib.sha256()
+    optima = hashlib.sha256()
     totals = dict.fromkeys(TOTALS, 0)
     for task in tasks:
         out = solve(ifvs.load_graph(task.text), task.k)
@@ -43,15 +47,17 @@ def digest(w: workloads.Workload) -> tuple[int, str, dict[str, int]]:
         steps = [astuple(step) for step in st.steps]
         counters = tuple(getattr(st, name) for name in TOTALS)
         sha.update(repr((out.decision, out.certificate, counters, steps)).encode())
+        size = None if out.certificate is None else len(out.certificate)
+        optima.update(repr((out.decision, size)).encode())
         for name, value in zip(TOTALS, counters):
             totals[name] = max(totals[name], value) if name == "f_max" else totals[name] + value
-    return len(tasks), sha.hexdigest(), totals
+    return len(tasks), sha.hexdigest(), optima.hexdigest(), totals
 
 
 def main() -> None:
     for name, w in workloads.WORKLOADS.items():
-        count, sha, totals = digest(w)
-        print(f"{name}: tasks={count} sha256={sha}")
+        count, sha, optima, totals = digest(w)
+        print(f"{name}: tasks={count} sha256={sha} optima={optima}")
         print("  " + " ".join(f"{key}={value}" for key, value in totals.items()))
 
 
