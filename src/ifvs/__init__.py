@@ -11,7 +11,7 @@ Result and helper types (``SolveOutcome``, ``ExtensionOutcome``,
 are importable from their modules.
 """
 
-from .compression import decide_prefix_chain, solve_ifvs
+from .compression import solve_ifvs
 from .extension import (
     INFEASIBLE,
     NotAForestError,
@@ -44,7 +44,6 @@ __all__ = [
     "brute_min_fvs",
     "brute_min_ifvs",
     "brute_min_ifvs_extension",
-    "decide_prefix_chain",
     "format_edgelist",
     "generate",
     "load_graph",

@@ -1,52 +1,30 @@
 """Benchmark harness: run solve families and emit one CSV row per run.
 
-The derived ``ratio`` column divides the DP evaluation count by
+A row holds the instance shape, the decision, the certificate size, the
+solve's own ``ms`` and every counter in
+:data:`ifvs.compression.COUNTERS`, read from the solve's ``SolveStats``;
+a counter added there becomes a new last column with no edit here.  The
+derived ``ratio`` column divides the DP evaluation count by
 ``4 ** f_max * n``, the budget the per-call work bound allows, so growth
 against that bound is visible directly in the table.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-from .compression import solve_ifvs
+from .compression import COUNTERS, solve_ifvs
 from .generator import check_shape, generate
 from .graph import Graph
 
 # later columns are appended, so readers that index by position keep working
-CSV_HEADER = (
+_FIRST_COLUMNS = (
     "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio,"
     "fallbacks,fallback_tests,pruned,skipped,bound_pruned"
-)
+).split(",")
+COLUMNS = tuple(_FIRST_COLUMNS + [name for name in COUNTERS if name not in _FIRST_COLUMNS])
+CSV_HEADER = ",".join(COLUMNS)
+_FORMATS = {"ms": ".3f", "ratio": ".6f"}
 
 DECISION_LABELS = {"yes": "yes", "no": "no-within-k", "absent": "no-ifvs-exists"}
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    n: int
-    m: int
-    k: int
-    decision: str
-    cert_size: int  # -1 when there is no certificate
-    ms: float
-    candidates: int
-    dp_cells: int
-    ratio: float
-    fallbacks: int
-    fallback_tests: int
-    pruned: int
-    skipped: int
-    bound_pruned: int
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.n},{self.m},{self.k},{self.decision},{self.cert_size},"
-            f"{self.ms:.3f},{self.candidates},{self.dp_cells},{self.ratio:.6f},"
-            f"{self.fallbacks},{self.fallback_tests},{self.pruned},{self.skipped},"
-            f"{self.bound_pruned}"
-        )
 
 
 def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
@@ -85,35 +63,28 @@ def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def _measure(g: Graph, k: int) -> BenchRecord:
-    t0 = time.perf_counter()
+def _measure(g: Graph, k: int) -> dict[str, object]:
+    """One CSV row, keyed by column name, for ``solve_ifvs(g, k)``."""
     outcome = solve_ifvs(g, k)
-    ms = (time.perf_counter() - t0) * 1000.0
     stats = outcome.stats
-    budget = (4 ** stats.f_max) * max(g.n, 1)
-    return BenchRecord(
+    row: dict[str, object] = {name: getattr(stats, name) for name in COUNTERS}
+    row.update(
         n=g.n,
         m=g.m,
         k=k,
         decision=DECISION_LABELS[outcome.decision],
         cert_size=-1 if outcome.certificate is None else len(outcome.certificate),
-        ms=ms,
-        candidates=stats.candidates,
-        dp_cells=stats.dp_cells,
-        ratio=stats.dp_cells / budget,
-        fallbacks=stats.fallbacks,
-        fallback_tests=stats.fallback_tests,
-        pruned=stats.pruned,
-        skipped=stats.skipped,
-        bound_pruned=stats.bound_pruned,
+        ratio=stats.dp_cells / ((4 ** stats.f_max) * max(g.n, 1)),
+        ms=stats.ms,
     )
+    return row
 
 
 def run_bench(
     rows: list[tuple[int, int, int, int]],
     *,
     seed: int = 0,
-) -> list[BenchRecord]:
+) -> list[dict[str, object]]:
     """Run each family row ``reps`` times, discarding one warm-up run.
 
     The graph for row ``i`` is ``generate(n, m, seed + i)``.
@@ -127,7 +98,8 @@ def run_bench(
     return records
 
 
-def format_csv(records: list[BenchRecord]) -> str:
+def format_csv(records: list[dict[str, object]]) -> str:
     lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
+    for row in records:
+        lines.append(",".join(format(row[c], _FORMATS.get(c, "")) for c in COLUMNS))
     return "\n".join(lines) + "\n"

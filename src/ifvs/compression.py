@@ -117,18 +117,6 @@ def _prefix_graph(h: Graph, size: int) -> Graph:
     return Graph.trusted(tuple([a & keep for a in h.adj[:size]]), h.edges[:m])
 
 
-def _resolve_order(g: Graph, order, seed) -> list[int]:
-    if order is None:
-        order = list(range(g.n))
-    else:
-        order = list(order)
-        if sorted(order) != list(range(g.n)):
-            raise ValueError("order must be a permutation of the vertex ids")
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-    return order
-
-
 def _find(parent: list[int], u: int) -> int:
     while parent[u] != u:
         parent[u] = u = parent[parent[u]]
@@ -148,7 +136,6 @@ def solve_ifvs(
     g: Graph,
     k: int,
     *,
-    order: list[int] | None = None,
     seed: int | None = None,
     threads: int = 1,
     trace: TextIO | None = None,
@@ -158,15 +145,18 @@ def solve_ifvs(
 
     Returns decision "yes" with a certificate, "no" when the optimum
     exceeds ``k``, or "absent" when no such set of any size exists.
-    Insertion order defaults to the input order; ``seed`` shuffles it
-    reproducibly.  ``threads`` has no effect; it is kept only because the
-    committed benchmark runner, ``perfbench/run.py``, passes ``threads=1``.
+    Vertices are inserted in input order, or in an order that ``seed``
+    shuffles reproducibly.  ``threads`` has no effect; it is kept only
+    because the committed benchmark runner, ``perfbench/run.py``, passes
+    ``threads=1``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     t0 = time.perf_counter()
     stats = SolveStats()
-    order = _resolve_order(g, order, seed)
+    order = list(range(g.n))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
     h = _relabel(g, order)
 
     decision = "yes"
@@ -208,12 +198,9 @@ def solve_ifvs(
         stats.add(step)
         if progress is not None:
             shown = "-" if outcome.size is None else str(outcome.size)
+            counters = ", ".join(f"{name} = {getattr(step, name)}" for name in COUNTERS)
             progress(
-                f"step {size}: {size} vertices, fvs = {step.fvs_size}, min = {shown}, "
-                f"candidates = {step.candidates}, pruned = {step.pruned}, "
-                f"bound_pruned = {step.bound_pruned}, "
-                f"cells = {step.dp_cells}, fallbacks = {step.fallbacks}, "
-                f"fallback_tests = {step.fallback_tests}"
+                f"step {size}: {size} vertices, fvs = {step.fvs_size}, min = {shown}, {counters}"
             )
         if outcome.absent:
             decision = "absent"
@@ -232,24 +219,3 @@ def solve_ifvs(
         assert len(certificate) <= k
     stats.ms = (time.perf_counter() - t0) * 1000.0
     return SolveOutcome(decision=decision, certificate=certificate, stats=stats)
-
-
-def decide_prefix_chain(
-    g: Graph,
-    k: int | None = None,
-    *,
-    order: list[int] | None = None,
-    seed: int | None = None,
-) -> list[int | None]:
-    """Prefix optima along the compression chain, for diagnostics.
-
-    Entry ``j`` is the minimum solution size of the prefix with ``j + 2``
-    vertices (``None``: that prefix has no solution).  With a budget
-    ``k`` the chain stops right after the first entry exceeding it, as
-    the solver would; without one it covers every prefix.
-    """
-    if g.n < 2:
-        return []
-    outcome = solve_ifvs(g, g.n if k is None else k, order=order, seed=seed)
-    # two vertices hold at most one edge, so the chain starts at 0
-    return [0] + [step.min_ifvs for step in outcome.stats.steps]

@@ -216,6 +216,32 @@ def test_bench_subcommand(tmp_path):
     assert len(lines) == 3
 
 
+def test_each_counter_has_one_name_in_every_report(tmp_path):
+    from ifvs import format_edgelist, generate
+    from ifvs.compression import COUNTERS
+
+    text = format_edgelist(generate(8, 12, 1))
+    proc = run_cli("ifvs", "--k", "8", "--json", "-v", "--no-timing", stdin=text)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    stats = report["stats"]
+    assert list(stats) == list(COUNTERS)
+    plain = run_cli("ifvs", "--k", "8", "--no-timing", stdin=text).stdout.splitlines()
+    assert plain[-1] == "  ".join(f"{name}: {stats[name]}" for name in COUNTERS)
+    spec = tmp_path / "one.csv"
+    spec.write_text("8,12,8,1\n")
+    header, row = run_cli("bench", "--spec", str(spec), "--seed", "1").stdout.splitlines()
+    columns = dict(zip(header.split(","), row.split(","), strict=True))
+    for name in COUNTERS:
+        assert int(columns[name]) == stats[name], name
+    # every step that ran the extension stage names each counter as --json does
+    shown = [line for line in proc.stderr.splitlines() if "fvs = " in line]
+    steps = [s for s in report["steps"] if not s["skipped"]]
+    assert len(shown) == len(steps) > 0
+    for line, step in zip(shown, steps):
+        assert line.endswith(", ".join(f"{name} = {step[name]}" for name in COUNTERS))
+
+
 def test_no_timing_strips_ms():
     proc = run_cli("ifvs", "--k", "1", "--json", "--no-timing", stdin=C4_EDGELIST)
     assert "ms" not in json.loads(proc.stdout)["stats"]

@@ -8,7 +8,6 @@ from conftest import complete, cycle, graphs, path, planted, random_graph
 from ifvs import (
     Graph,
     brute_min_ifvs,
-    decide_prefix_chain,
     generate,
     mask_of,
     solve_ifvs,
@@ -44,10 +43,19 @@ def test_tiny_graphs():
     assert solve_ifvs(Graph(2, [(0, 1)]), 0).decision == "yes"
 
 
+def prefix_optima(g):
+    """``(prefix size, optimum)`` of every compression step at budget ``n``.
+
+    ``None`` marks a prefix with no solution.  Prefixes of at most two
+    vertices are acyclic and get no step.
+    """
+    return [(step.prefix, step.min_ifvs) for step in solve_ifvs(g, g.n).stats.steps]
+
+
 def test_prefix_chain_examples():
-    assert decide_prefix_chain(path(4)) == [0, 0, 0]
-    assert decide_prefix_chain(cycle(4)) == [0, 0, 1]
-    assert decide_prefix_chain(cycle(3)) == [0, 1]
+    assert prefix_optima(path(4)) == [(3, 0), (4, 0)]
+    assert prefix_optima(cycle(4)) == [(3, 0), (4, 1)]
+    assert prefix_optima(cycle(3)) == [(3, 1)]
 
 
 def test_prefix_chain_absent_jump():
@@ -55,7 +63,7 @@ def test_prefix_chain_absent_jump():
     wheel = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                       (5, 0), (5, 1), (5, 2), (5, 3), (5, 4)])
     assert brute_min_ifvs(wheel) is None
-    assert decide_prefix_chain(wheel) == [0, 0, 0, 1, None]
+    assert prefix_optima(wheel) == [(3, 0), (4, 0), (5, 1), (6, None)]
     assert solve_ifvs(wheel, 6).decision == "absent"
 
 
@@ -65,10 +73,10 @@ def test_prefix_chain_matches_oracle_and_is_monotone():
         g = random_graph(rng, n_max=12)
         if g.n < 2:
             continue
-        chain = decide_prefix_chain(g)
-        prev = 0
-        for idx, val in enumerate(chain):
-            size = idx + 2
+        chain = prefix_optima(g)
+        assert [size for size, _ in chain] == list(range(3, 3 + len(chain)))
+        prev = 0  # two vertices hold at most one edge
+        for idx, (size, val) in enumerate(chain):
             prefix, _ = g.induced_subgraph(mask_of(range(size)))
             oracle = brute_min_ifvs(prefix)
             if val is None:

@@ -99,11 +99,12 @@ def test_run_bench_shapes():
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     for rec in records:
-        assert rec.dp_cells >= 0 and rec.ratio >= 0
-        assert rec.decision in ("yes", "no-within-k", "no-ifvs-exists")
-    # the appended counter columns are the solve's own SolveStats;
+        assert rec["dp_cells"] >= 0 and rec["ratio"] >= 0
+        assert rec["decision"] in ("yes", "no-within-k", "no-ifvs-exists")
+    # the counter columns are the solve's own SolveStats;
     # generate(10, 14, 1) at k=10 runs the exact fallback search
     from ifvs import solve_ifvs
+    from ifvs.compression import COUNTERS
 
     names = CSV_HEADER.split(",")
     more = format_csv(run_bench([(10, 14, 10, 1)], seed=1)).strip().splitlines()[1:]
@@ -112,15 +113,7 @@ def test_run_bench_shapes():
     for line, (g, k) in zip(lines[1:] + more, solves, strict=True):
         row = dict(zip(names, line.split(","), strict=True))
         stats = solve_ifvs(g, k).stats
-        for name in (
-            "candidates",
-            "dp_cells",
-            "fallbacks",
-            "fallback_tests",
-            "pruned",
-            "skipped",
-            "bound_pruned",
-        ):
+        for name in COUNTERS:
             assert int(row[name]) == getattr(stats, name), name
         fallbacks += stats.fallbacks
     assert fallbacks > 0
