@@ -27,24 +27,26 @@ components, which the tables cannot see; every assembled certificate is
 therefore re-validated, and an exact bounded search replaces the DP
 answer for a candidate whose certificate fails that check.
 :func:`min_ifvs_given_fvs` is the one path that turns a candidate into an
-exact cost: the DP, then the validity gate, then the deferred search.
+exact cost: the DP, then the validity gate, then the search.
 
-Candidates are solved in ascending ``(size, bitmask)`` order against the
-best total found so far.  A candidate whose size already reaches that
-total is *pruned* without running the DP.  So is one for which ``G``
-minus the candidate holds as many vertex-disjoint cycles as the gap
-between its size and the best total: every extension deletes a vertex
-of each such cycle.  And so is one whose size plus DP value reaches the
-best total: the tables only ever under-count, so the DP value is a
-lower bound on the candidate's exact cost and the validity gate and
-fallback can be skipped.  Fallback searches wait until every candidate
-has had its DP, so the best total known by then caps them.  A
-caller-supplied lower bound on the optimum ends the scan as soon as the
-best total meets it.
+Candidates wait in one queue keyed by a proven lower bound on their
+exact total, least first, and an entry whose bound reaches the best
+total found so far is *pruned*.  A candidate enters at its size, or at a
+caller-supplied lower bound on the optimum if higher.  It is pruned
+before its DP when ``G`` minus the candidate holds as many
+vertex-disjoint cycles as the gap between its size and the best total,
+since every extension deletes a vertex of each, and after it when its
+size plus DP value reaches the best total, since the tables only ever
+under-count.  A certificate that fails the validity gate sends the
+candidate back at its DP total, and each time it leaves again the exact
+search tries one more deletion.  So no search tries a size that a known
+total rules out, and the optimum is never below the smaller of the best
+total and the least bound in the queue.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator, TextIO
@@ -535,25 +537,18 @@ def _disjoint_cycles(g: Graph, core: int, sub: int, cap: int) -> int:
     return count
 
 
-def _fallback_search(
-    g: Graph,
-    cand: Candidate,
-    lower: int,
-    cap: float,
-) -> tuple[int | None, int | None, int]:
-    """Exact bounded search for the cheapest valid extension.
+def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None, int]:
+    """One level of an exact search for a valid extension of ``cand``.
 
-    Iterative-deepening branching on cycles of the remaining graph:
-    every cycle must lose one deletable vertex, so branches follow the
-    cycle's vertices (ascending; deleting one forbids its neighbors and
-    the alternatives already tried).  The remaining graph is kept as its
-    2-core: the universe is stripped once per call, and each branch
-    re-strips only from the deleted vertex's neighbours.  ``lower`` is a
-    proven lower bound (the raw DP value); sizes at or above ``cap``
-    cannot improve the running optimum and are skipped.  ``tests``
-    counts search nodes, each one test of whether the remaining graph
-    is acyclic.  Returns ``(size, extension_mask, tests)``; ``size`` is
-    None when no extension is cheaper than ``cap``.
+    Branches on cycles of the remaining graph: every cycle must lose one
+    deletable vertex, so branches follow the cycle's vertices (ascending;
+    deleting one forbids its neighbors and the alternatives already
+    tried).  The remaining graph is kept as its 2-core: the universe is
+    stripped once per call, and each branch re-strips only from the
+    deleted vertex's neighbours.  ``tests`` counts search nodes, each one
+    test of whether the remaining graph is acyclic.  Returns
+    ``(extension_mask, tests)``; the mask holds at most ``budget``
+    vertices, and is None when no valid extension is that small.
     """
     base = cand.fvs_part
     universe = g.vertex_mask & ~base
@@ -584,16 +579,10 @@ def _fallback_search(
             remaining &= ~bit  # later branches keep v
         return None
 
-    core = _strip(adj, universe, universe)
-    for size in range(lower, allowed_all.bit_count() + 1):
-        if size >= cap:
-            break
-        ext = dfs(core, 0, allowed_all, size)
-        if ext is not None:
-            if not g.is_ifvs(base | ext):
-                raise AssertionError("residual search produced an invalid set")
-            return ext.bit_count(), ext, tests
-    return None, None, tests
+    ext = dfs(_strip(adj, universe, universe), 0, allowed_all, budget)
+    if ext is not None and not g.is_ifvs(base | ext):
+        raise AssertionError("residual search produced an invalid set")
+    return ext, tests
 
 
 def _format_tables(tables: DpTables, l: int) -> str:
@@ -618,16 +607,16 @@ def min_ifvs_given_fvs(
 ) -> ExtensionOutcome:
     """Minimum independent feedback vertex set of ``g``, given an FVS ``f``.
 
-    Scans every admissible subset of ``f`` in ascending ``(size,
-    bitmask)`` order, extends each with the forest DP unless it is
-    pruned, and keeps the cheapest assembled solution (ties go to the
-    earlier candidate).  ``lower`` must not exceed the optimum, such as
-    the optimum of an induced subgraph; the scan stops once the best
-    total equals it.  Reports absence when every candidate is
-    infeasible.  Raises :class:`NotAnFvsError` when ``f`` is not an FVS.
-    ``trace`` receives the rooted forest, then one line per subset of
-    ``f`` as soon as the subset is rejected, pruned or costed, so the
-    lines follow the scan rather than bitmask order.
+    Runs every admissible subset of ``f`` through the queue of the module
+    docstring and keeps the cheapest assembled solution.  At an equal
+    bound DPs leave first, in ``(size, bitmask)`` order, then search
+    levels in ``(DP total, size, bitmask)`` order, and ties go to the
+    first.  ``lower`` must not exceed the optimum, such as the optimum of
+    an induced subgraph; no bound is below it, so once the best total
+    equals it every entry is pruned.  Reports absence when every
+    candidate is infeasible.  Raises :class:`NotAnFvsError` when ``f`` is
+    not an FVS.  ``trace`` receives the rooted forest, then one line per
+    subset of ``f`` once it is rejected or leaves the queue for good.
     """
     try:
         forest = root_forest(g, f)
@@ -646,33 +635,56 @@ def min_ifvs_given_fvs(
         members = ",".join(str(v) for v in bits(sub))
         trace.write(f"candidate {{{members}}} {text}\n{tables}")  # type: ignore[union-attr]
 
-    accepted: list[tuple[int, int, tuple[int, ...]]] = []
+    # one queue, least key first: (bound, stage, dp_total, size, bitmask).
+    # Stage 0 runs the DP behind the validity gate (dp_total is 0 until
+    # then), stage 1 one level of the exact search.  Every improvement is
+    # strict, so ties keep the first candidate in key order.
+    queue: list[tuple] = []
     for sub in _iter_subsets(f):
         reason, comps = _admit(g.adj, f, sub)
         if not reason:
-            accepted.append((sub.bit_count(), sub, comps))
+            size = sub.bit_count()
+            queue.append((max(size, lower), 0, 0, size, sub, comps))
         elif trace is not None:
             note(sub, f"rejected ({reason})")
-    accepted.sort()  # by (size, bitmask): the subsets are distinct
-    stats.candidates_accepted = len(accepted)
-    stats.max_l = max((len(comps) for _, _, comps in accepted), default=0)
+    heapq.heapify(queue)  # keys never tie, so payloads are never compared
+    stats.candidates_accepted = len(queue)
+    stats.max_l = max((len(entry[-1]) for entry in queue), default=0)
 
-    # phase 1: the DP in ascending (size, bitmask) order, behind the
-    # validity gate.  Every improvement is strict, so ties keep the
-    # earlier candidate.  A candidate is built only once it is not pruned,
-    # by its size or by disjoint cycles that its extension must break.
     best_total: float = INFEASIBLE
     best_cert: int | None = None
-    pending: list[tuple[int, int, int, Candidate, str, str]] = []
     core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
-    for size, sub, comps in accepted:
-        if best_total <= lower or size >= best_total:
+    while queue:
+        bound, stage, dp_total, size, sub, data = heapq.heappop(queue)
+        if stage == 1:
+            # data: the candidate, its trace text and its search nodes so
+            # far, which are 0 only until its first level runs
+            cand, ran, shown, tests = data
+            if bound < best_total:
+                stats.fallbacks += not tests
+                ext, more = _fallback_search(g, cand, bound - size)
+                stats.fallback_tests += more
+                tests += more
+                if ext is not None:
+                    best_total = bound
+                    best_cert = sub | ext
+                elif bound - size < (g.vertex_mask & ~(f | cand.forbidden)).bit_count():
+                    data = (cand, ran, shown, tests)
+                    heapq.heappush(queue, (bound + 1, 1, dp_total, size, sub, data))
+                    continue
+            else:
+                stats.pruned += not tests
+            if trace is not None:
+                note(sub, f"{ran} fallback(tests={tests})" if tests else ran + " pruned", shown)
+            continue
+        comps = data
+        if bound >= best_total:
             stats.pruned += 1
             if trace is not None:
                 note(sub, f"accepted l={len(comps)} pruned")
             continue
         if best_total < INFEASIBLE:
-            gap = int(best_total) - size  # at least 1, by the size test
+            gap = int(best_total) - size  # at least 1, since bound < best_total
             cycles = _disjoint_cycles(g, core, sub, gap)
             if cycles >= gap:
                 stats.pruned += 1
@@ -697,31 +709,14 @@ def min_ifvs_given_fvs(
                 note(sub, ran + (" pruned" if pruned else ""), shown)
             continue
         if not g.is_ifvs(sub | extension):
-            pending.append((size + cost, size, sub, cand, ran, shown))
+            # the DP value under-counts at worst: search upward from it
+            total = size + cost
+            heapq.heappush(queue, (max(total, lower), 1, total, size, sub, (cand, ran, shown, 0)))
             continue
         if trace is not None:
             note(sub, ran, shown)
         best_total = size + cost
         best_cert = sub | extension
-
-    # phase 2: candidates that failed the gate, cheapest DP bound first,
-    # so the established optimum caps each exact fallback search
-    pending.sort()  # by (bound, size, bitmask): the subsets are distinct
-    for bound, size, sub, cand, ran, shown in pending:
-        if best_total <= lower or bound >= best_total:
-            stats.pruned += 1
-            if trace is not None:
-                note(sub, ran + " pruned", shown)
-            continue
-        stats.fallbacks += 1
-        found, ext, tests = _fallback_search(g, cand, bound - size, best_total - size)
-        stats.fallback_tests += tests
-        if trace is not None:
-            note(sub, f"{ran} fallback(tests={tests})", shown)
-        if found is None:
-            continue
-        best_total = size + found
-        best_cert = sub | ext  # type: ignore[operator]
 
     if best_cert is None:
         return ExtensionOutcome(size=None, certificate=None, stats=stats)

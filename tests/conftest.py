@@ -108,6 +108,21 @@ def gate_fallback_wins() -> tuple[Graph, int]:
     return g, mask_of([1, 2, 4])
 
 
+def gate_fallback_tie() -> tuple[Graph, int]:
+    # only the choices {0} and {5} admit an extension; the DP's
+    # certificate fails the gate for both, {5}'s DP value 1 is below
+    # {0}'s 2, and both need 3 forest deletions, so the two searches
+    # reach the optimum 4 at the same level
+    from ifvs import mask_of
+
+    g = Graph(
+        9,
+        [(0, 5), (0, 6), (0, 7), (0, 8), (1, 3), (1, 6), (2, 3), (2, 5),
+         (2, 7), (3, 4), (3, 7), (3, 8), (4, 6), (4, 7), (5, 6), (6, 7)],
+    )
+    return g, mask_of([0, 3, 5, 6])
+
+
 def gate_single_tree() -> tuple[Graph, int]:
     # hub 2 with children 3, 4, each linked to both components {0}, {1}
     from ifvs import mask_of

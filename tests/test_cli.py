@@ -90,7 +90,7 @@ def test_trace_writes_one_line_per_subset_per_call():
     from ifvs import format_edgelist, generate
 
     # generate(8, 12, 1) at k=8 runs three exact fallbacks, whose
-    # candidates are traced in the last phase of their call
+    # candidates are traced when their search ends
     text = format_edgelist(generate(8, 12, 1))
     proc = run_cli("ifvs", "--k", "8", "--json", "--no-timing", "--trace", stdin=text)
     report = json.loads(proc.stdout)

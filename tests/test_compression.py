@@ -10,6 +10,7 @@ from ifvs import (
     brute_min_ifvs,
     generate,
     mask_of,
+    solve_fvs,
     solve_ifvs,
 )
 from ifvs.compression import _prefix_graph, _relabel
@@ -220,6 +221,19 @@ def test_probe_counters_are_pinned():
     stats = out.stats
     assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (286, 27, 104_383)
     assert out.certificate == (0, 3, 16, 20, 37, 52)
+
+
+def test_fvs_probe_counters_are_pinned():
+    # FVS on generate(30, 60, 1) at k=30.  A gate-failing candidate
+    # searches one level at a time, in one queue with every other
+    # candidate, so a level that a better total found meanwhile rules out
+    # is never searched: fallback_tests was 69,158 when each search ran
+    # to completion against the best total known when it started.  The
+    # answer and every other counter stayed the same
+    out = solve_fvs(generate(30, 60, 1), 30)
+    stats = out.stats
+    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (1342, 80, 53_165)
+    assert out.certificate == (0, 4, 15, 19, 21, 25, 26)
 
 
 def test_planted_counters_are_pinned():

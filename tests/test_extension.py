@@ -9,6 +9,7 @@ from conftest import (
     complete,
     cycle,
     gate_cross_tree,
+    gate_fallback_tie,
     gate_fallback_wins,
     gate_forced_fallback,
     gate_single_tree,
@@ -138,7 +139,8 @@ def test_k4_all_candidates_infeasible():
     for cand in cands:
         cost, ext, _ = _run_dp(g, forest, cand)
         assert cost == INFEASIBLE and ext is None
-        assert _fallback_search(g, cand, 0, INFEASIBLE)[:2] == (None, None)
+        # a budget of every vertex leaves the search nothing to cut
+        assert _fallback_search(g, cand, g.n)[0] is None
 
 
 def test_min_ifvs_given_fvs_examples():
@@ -208,10 +210,12 @@ def test_fallback_search_cost_cap():
     # the DP's certificate fails the gate, and the empty choice admits no
     # extension at all for this instance
     assert ext is not None and not g.is_ifvs(empty.fvs_part | ext)
-    size, ext, tests = _fallback_search(g, empty, cost, INFEASIBLE)
-    assert size is None and ext is None and tests > 0
-    # a cap at the DP's lower bound stops the search before its first node
-    assert _fallback_search(g, empty, cost, cost) == (None, None, 0)
+    deletable = (g.vertex_mask & ~(f | empty.forbidden)).bit_count()
+    for budget in range(cost, deletable + 1):
+        ext, tests = _fallback_search(g, empty, budget)
+        assert ext is None and tests > 0
+    # a zero budget tests the remaining graph once and cuts there
+    assert _fallback_search(g, empty, 0) == (None, 1)
 
 
 def test_reported_sizes_are_minimal():
@@ -405,29 +409,30 @@ def _fvs_corpus(seed, count):
 
 
 def test_per_candidate_exactness():
-    # the raw tables may under-count (never over-count); the exact search
-    # lands on the true per-candidate minimum, and finds nothing when
-    # capped at or below it
+    # the raw tables may under-count (never over-count); one level of the
+    # exact search finds nothing below the true per-candidate minimum e,
+    # and a valid extension of exactly e vertices at level e
     for g, f in _fvs_corpus(99, 80):
         forest = root_forest(g, f)
         for cand in enumerate_candidates(g, f):
             true_min = _min_extension(g, f, cand.fvs_part)
             raw_cost, _, _ = _run_dp(g, forest, cand)
-            size, ext, _ = _fallback_search(g, cand, 0, INFEASIBLE)
             if true_min is None:
-                assert size is None and ext is None
+                deletable = (g.vertex_mask & ~(f | cand.forbidden)).bit_count()
+                assert _fallback_search(g, cand, deletable)[0] is None
                 continue
             assert raw_cost <= true_min
-            assert size == true_min == ext.bit_count()
+            if true_min:
+                assert _fallback_search(g, cand, true_min - 1)[0] is None
+            ext, _ = _fallback_search(g, cand, true_min)
+            assert ext is not None and ext.bit_count() == true_min
             assert g.is_ifvs(cand.fvs_part | ext)
-            for cap in range(true_min + 1):
-                assert _fallback_search(g, cand, 0, cap)[:2] == (None, None)
 
 
 def test_extension_reaches_the_exact_minimum():
-    # whether the gate's phase or the deferred fallback's phase sets the
-    # best total, it is the brute-force optimum; only a fallback reaches
-    # it on gate_fallback_wins
+    # whether a gate-passing DP or the exact search sets the best total,
+    # it is the brute-force optimum; only a fallback reaches it on
+    # gate_fallback_wins
     fixtures = [gate_cross_tree(), gate_forced_fallback(), gate_single_tree(), gate_fallback_wins()]
     for g, f in [*fixtures, *_fvs_corpus(99, 80)]:
         out = min_ifvs_given_fvs(g, f)
@@ -436,6 +441,24 @@ def test_extension_reaches_the_exact_minimum():
         if out.size is not None:
             assert g.is_ifvs(mask_of(out.certificate))
     assert min_ifvs_given_fvs(*gate_fallback_wins()).stats.fallbacks > 0
+
+
+def test_fallback_ties_go_to_the_lower_dp_value():
+    # search levels of equal bound leave the queue in DP-total order, so
+    # {5} wins the tie at the optimum though {0} comes first by (size,
+    # bitmask)
+    g, f = gate_fallback_tie()
+    forest = root_forest(g, f)
+    for members, dp in (([0], 2), ([5], 1)):
+        cand = next(c for c in enumerate_candidates(g, f) if c.fvs_part == mask_of(members))
+        cost, ext, _ = _run_dp(g, forest, cand)
+        assert cost == dp and not g.is_ifvs(cand.fvs_part | ext)
+        assert _fallback_search(g, cand, 2)[0] is None
+        assert _fallback_search(g, cand, 3)[0].bit_count() == 3
+    out = min_ifvs_given_fvs(g, f)
+    assert out.size == brute_min_ifvs(g)[0] == 4
+    assert out.certificate == (1, 5, 7, 8)
+    assert out.stats.fallbacks == 2
 
 
 def _grown_fvs_corpus(seed, count):
@@ -460,8 +483,8 @@ def test_counters_match_the_candidate_scan():
 
 
 def test_trace_writes_one_line_per_subset():
-    # every subset of f gets exactly one line, the ones settled in the
-    # fallback phase included; each line of a candidate whose DP ran is
+    # every subset of f gets exactly one line, the ones settled by the
+    # exact search included; each line of a candidate whose DP ran is
     # followed by its tables, one line per forest vertex
     import io
 
