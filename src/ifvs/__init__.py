@@ -8,7 +8,9 @@ reduction.  Brute-force oracles back the differential test suite.
 
 Result and helper types (``SolveOutcome``, ``ExtensionOutcome``,
 ``Candidate``, ``DpTables``, ``RootedForest``, ``SubdivisionMap``, ...)
-are importable from their modules.
+are importable from their modules.  The records among them are named
+tuples (``_fields``, ``_asdict()``), and the counters ``SolveStats`` and
+``ExtensionStats`` are slotted classes.
 """
 
 from .compression import solve_ifvs

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -27,9 +26,15 @@ from .reduction import solve_fvs
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    # stdin decodes as its locale says: a POSIX locale escapes bad bytes,
+    # which the parser then rejects, and a UTF-8 locale raises
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise UsageError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -71,7 +76,7 @@ def _report(outcome: SolveOutcome, args: argparse.Namespace) -> int:
             if outcome.certificate is not None
             else None,
             "stats": counters,
-            "steps": [asdict(s) for s in stats.steps],
+            "steps": [s._asdict() for s in stats.steps],
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:

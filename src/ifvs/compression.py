@@ -23,16 +23,20 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from .extension import min_ifvs_given_fvs
 from .graph import Graph, bits, mask_of
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One compression step: its prefix, its optimum and its counters.
+
+    A named tuple: ``_fields`` lists the fields in report order, and
+    ``_asdict()`` gives the step of the ``--json`` report.
+    """
+
     prefix: int  # number of vertices in the grown graph
     fvs_size: int  # size of the FVS handed to the extension stage (0: skipped)
     min_ifvs: int | None  # prefix optimum (None: no solution exists)
@@ -45,18 +49,31 @@ class StepRecord:
     skipped: bool = False  # no cycle closed, the old optimum carried over
 
 
-@dataclass
 class SolveStats:
-    candidates: int = 0
-    dp_cells: int = 0
-    fallbacks: int = 0
-    fallback_tests: int = 0
-    pruned: int = 0
-    bound_pruned: int = 0  # pruned candidates whose DP never ran, by the cycle bound
-    skipped: int = 0  # steps that closed no cycle and ran no extension
-    ms: float = 0.0
-    f_max: int = 0  # largest FVS handed to the extension stage
-    steps: list[StepRecord] = field(default_factory=list)
+    """Counter totals of one solve, with its steps and its wall time.
+
+    A slotted class, mutable while the solve runs: :meth:`add` records
+    each step and sums the counters that :data:`COUNTERS` names.
+    """
+
+    __slots__ = (
+        "candidates",
+        "dp_cells",
+        "fallbacks",
+        "fallback_tests",
+        "pruned",
+        "bound_pruned",  # pruned candidates whose DP never ran, by the cycle bound
+        "skipped",  # steps that closed no cycle and ran no extension
+        "ms",
+        "f_max",  # largest FVS handed to the extension stage
+        "steps",
+    )
+
+    def __init__(self) -> None:
+        self.candidates = self.dp_cells = self.fallbacks = self.fallback_tests = 0
+        self.pruned = self.bound_pruned = self.skipped = self.f_max = 0
+        self.ms = 0.0
+        self.steps: list[StepRecord] = []
 
     def add(self, step: StepRecord) -> None:
         """Record ``step`` and add its counters to the totals."""
@@ -70,18 +87,20 @@ class SolveStats:
 
 
 # the SolveStats totals of a StepRecord field, in report order
-COUNTERS = tuple(f.name for f in fields(SolveStats) if f.name in StepRecord.__dataclass_fields__)
+COUNTERS = tuple(name for name in SolveStats.__slots__ if name in StepRecord._fields)
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
+    """A solve's decision, a named tuple.
+
+    ``certificate`` is ``None`` unless ``decision`` is "yes";
+    :func:`solve_ifvs` and :func:`ifvs.reduction.solve_fvs` assert the
+    certificate where they build a "yes".
+    """
+
     decision: str  # "yes" | "no" | "absent"
     certificate: tuple[int, ...] | None
     stats: SolveStats
-
-    def __post_init__(self) -> None:
-        if self.decision == "yes":
-            assert self.certificate is not None
 
 
 def _relabel(g: Graph, order: list[int]) -> Graph:

@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .graph import Graph, bits, mask_of
 
@@ -64,9 +63,8 @@ class NotAForestError(ValueError):
     """The supposed feedback vertex set leaves a cyclic remainder."""
 
 
-@dataclass(frozen=True)
-class RootedForest:
-    """The forest on ``V - f``, each tree rooted at its smallest vertex id.
+class RootedForest(NamedTuple):
+    """The forest on ``V - f`` as a named tuple, each tree rooted at its smallest id.
 
     ``order`` lists every forest vertex in breadth-first order, tree by
     tree, so each parent comes before its children.  ``mark[v]`` is the
@@ -129,9 +127,8 @@ def root_forest(g: Graph, f: int) -> RootedForest:
     return RootedForest(tuple(roots), parent, children, tuple(order), tuple(mark))
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """An admissible choice for the solution's intersection with the FVS."""
+class Candidate(NamedTuple):
+    """A named tuple: an admissible choice for the solution's part in the FVS."""
 
     fvs_part: int  # chosen vertices, a subset of the fvs mask
     size: int
@@ -141,23 +138,30 @@ class Candidate:
     fvs: int
 
 
-@dataclass
 class ExtensionStats:
-    """Counters of one :func:`min_ifvs_given_fvs` call, filled during the scan."""
+    """Counters of one :func:`min_ifvs_given_fvs` call, filled during the scan.
 
-    candidates_scanned: int = 0  # subsets of the fvs, 2**|f|
-    candidates_accepted: int = 0  # of those, independent with an acyclic rest
-    max_l: int = 0  # most components left by an accepted candidate
-    dp_cells: int = 0  # row evaluations over every DP run
-    fallbacks: int = 0  # exact searches run after a failed validity gate
-    fallback_tests: int = 0  # search nodes of those searches
-    pruned: int = 0  # accepted candidates that could not beat the best total
-    bound_pruned: int = 0  # of those, pruned by disjoint cycles before any DP
+    A slotted class; every counter starts at 0.
+    """
+
+    __slots__ = (
+        "candidates_scanned",  # subsets of the fvs, 2**|f|
+        "candidates_accepted",  # of those, independent with an acyclic rest
+        "max_l",  # most components left by an accepted candidate
+        "dp_cells",  # row evaluations over every DP run
+        "fallbacks",  # exact searches run after a failed validity gate
+        "fallback_tests",  # search nodes of those searches
+        "pruned",  # accepted candidates that could not beat the best total
+        "bound_pruned",  # of those, pruned by disjoint cycles before any DP
+    )
+
+    def __init__(self) -> None:
+        self.candidates_scanned = self.candidates_accepted = self.max_l = self.dp_cells = 0
+        self.fallbacks = self.fallback_tests = self.pruned = self.bound_pruned = 0
 
 
-@dataclass
-class ExtensionOutcome:
-    """Result of :func:`min_ifvs_given_fvs`.
+class ExtensionOutcome(NamedTuple):
+    """Result of :func:`min_ifvs_given_fvs`, a named tuple.
 
     ``size`` and ``certificate`` are ``None`` when the graph has no
     independent feedback vertex set at all.
@@ -622,7 +626,8 @@ def min_ifvs_given_fvs(
         forest = root_forest(g, f)
     except NotAForestError as exc:
         raise NotAnFvsError("the provided set is not a feedback vertex set") from exc
-    stats = ExtensionStats(candidates_scanned=1 << f.bit_count())
+    stats = ExtensionStats()
+    stats.candidates_scanned = 1 << f.bit_count()
 
     if trace is not None:
         trace.write(f"forest nodes ({len(forest.order)} vertices, v parent [children]):\n")

@@ -9,15 +9,14 @@ edge without uncovering a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .compression import SolveOutcome, solve_ifvs
 from .graph import Graph, mask_of
 
 
-@dataclass(frozen=True)
-class SubdivisionMap:
-    """Bookkeeping for one subdivision pass.
+class SubdivisionMap(NamedTuple):
+    """Bookkeeping for one subdivision pass, a named tuple.
 
     Subdivision vertex ``original_n + i`` splits ``edges[i]``; the
     resulting graph has ``n + m`` vertices and ``2 m`` edges.

@@ -61,6 +61,46 @@ def test_usage_errors_exit_two():
     assert "line 3" in proc.stderr
 
 
+NOT_UTF8 = b"3 3\n0 1\n1 2\n2 0\n\xff\xfe\n"  # byte 16 starts no UTF-8 character
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("ifvs", "--k", "1", "--input"),
+        ("fvs", "--k", "1", "--input"),
+        ("oracle", "--input"),
+        ("bench", "--spec"),
+    ],
+)
+def test_non_utf8_file_is_a_usage_error(tmp_path, command):
+    inst = tmp_path / "bad.txt"
+    inst.write_bytes(NOT_UTF8)
+    proc = run_cli(*command, str(inst))
+    assert proc.returncode == 2
+    assert proc.stderr == f"ifvs: error: {inst}: not UTF-8 text (invalid start byte at byte 16)\n"
+
+
+@pytest.mark.parametrize(
+    "errors, message",
+    [
+        ("surrogateescape", "ifvs: error: line 5: "),
+        ("strict", "ifvs: error: stdin: not UTF-8 text"),
+    ],
+)
+def test_non_utf8_stdin_is_a_usage_error(errors, message):
+    # the locale picks how stdin decodes: bad bytes escaped, or an error
+    proc = subprocess.run(
+        [sys.executable, "-m", "ifvs", "ifvs", "--k", "1"],
+        input=NOT_UTF8,
+        capture_output=True,
+        timeout=120,
+        env=dict(cli_env(), PYTHONIOENCODING=f"utf-8:{errors}"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith(message)
+
+
 @pytest.mark.parametrize("spec", ["4,10,1,1\n", "n,m,k,reps\n5,4,1,1\n5,4,-1,1\n"])
 def test_bench_rejects_a_row_the_solver_rejects(spec):
     proc = run_cli("bench", "--spec", "-", stdin=spec)

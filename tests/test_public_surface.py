@@ -6,8 +6,11 @@ and its JSON report example has to be what the command line prints, so
 a change to the code cannot leave any of them stale.
 """
 
+import dataclasses
+import inspect
 import io
 import re
+import sys
 from pathlib import Path
 
 import ifvs
@@ -19,6 +22,20 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_every_exported_name_resolves():
     missing = [name for name in ifvs.__all__ if not hasattr(ifvs, name)]
     assert missing == []
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    # importing dataclasses and building the records with it took about
+    # two fifths of a fresh import: records are named tuples and counters
+    # slotted classes
+    found = [
+        f"{name}.{cls.__qualname__}"
+        for name, module in list(sys.modules.items())
+        if name == "ifvs" or name.startswith("ifvs.")
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls)
+    ]
+    assert found == []
 
 
 def test_readme_library_example_runs_as_written():

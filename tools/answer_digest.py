@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from dataclasses import astuple, fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,9 +34,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 
 import ifvs  # noqa: E402
-from ifvs.compression import SolveStats  # noqa: E402
+from ifvs.compression import COUNTERS  # noqa: E402
 
-TOTALS = tuple(f.name for f in fields(SolveStats) if f.name not in ("ms", "steps"))
+TOTALS = COUNTERS + ("f_max",)
 
 
 def digest(w: workloads.Workload) -> tuple[int, str, str, str, dict[str, int]]:
@@ -51,7 +50,7 @@ def digest(w: workloads.Workload) -> tuple[int, str, str, str, dict[str, int]]:
     for task in tasks:
         out = solve(ifvs.load_graph(task.text), task.k)
         st = out.stats
-        steps = [astuple(step) for step in st.steps]
+        steps = [tuple(step) for step in st.steps]
         counters = tuple(getattr(st, name) for name in TOTALS)
         sha.update(repr((out.decision, out.certificate, counters, steps)).encode())
         chain = [(s.prefix, s.fvs_size, s.min_ifvs, s.skipped) for s in st.steps]

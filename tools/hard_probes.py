@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src")]
 
 import ifvs  # noqa: E402
-from ifvs.compression import SolveStats  # noqa: E402
+from ifvs.compression import COUNTERS  # noqa: E402
 
-COUNTERS = tuple(f.name for f in fields(SolveStats) if f.name not in ("ms", "steps"))
+TOTALS = COUNTERS + ("f_max",)
 
 # (problem, generate(n, m, seed), k)
 PROBES = (
@@ -50,7 +49,7 @@ def main() -> None:
             size, cert = "-", "-"
         else:
             size, cert = len(out.certificate), ",".join(map(str, out.certificate))
-        counters = " ".join(f"{name}={getattr(out.stats, name)}" for name in COUNTERS)
+        counters = " ".join(f"{name}={getattr(out.stats, name)}" for name in TOTALS)
         print(
             f"{problem} generate({n},{m},{seed}) k={k}: decision={out.decision} "
             f"size={size} certificate={cert} {counters} cpu_s={cpu:.2f}",
