@@ -157,13 +157,16 @@ def solve_ifvs(
     *,
     seed: int | None = None,
     threads: int = 1,
+    undeletable: int = 0,
     trace: TextIO | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> SolveOutcome:
     """Decide whether ``g`` has an independent feedback vertex set of size <= k.
 
     Returns decision "yes" with a certificate, "no" when the optimum
-    exceeds ``k``, or "absent" when no such set of any size exists.
+    exceeds ``k``, or "absent" when no such set of any size exists.  A
+    solution may hold no vertex of the mask ``undeletable``; each prefix
+    optimum then avoids it too, and still bounds the next from below.
     Vertices are inserted in input order, or in an order that ``seed``
     shuffles reproducibly.  ``threads`` has no effect; it is kept only
     because the committed benchmark runner, ``perfbench/run.py``, passes
@@ -177,6 +180,8 @@ def solve_ifvs(
     if seed is not None:
         random.Random(seed).shuffle(order)
     h = _relabel(g, order)
+    # the undeletable vertices by insertion position; a prefix gets its slice
+    blocked = mask_of(i for i, v in enumerate(order) if undeletable >> v & 1) if undeletable else 0
 
     decision = "yes"
     current: tuple[int, ...] = ()  # prefix optimum, local ids
@@ -201,7 +206,13 @@ def solve_ifvs(
 
         prefix = _prefix_graph(h, size)
         fvs_input = current_mask | 1 << new
-        outcome = min_ifvs_given_fvs(prefix, fvs_input, lower=len(current), trace=trace)
+        outcome = min_ifvs_given_fvs(
+            prefix,
+            fvs_input,
+            undeletable=blocked & ((1 << size) - 1),
+            lower=len(current),
+            trace=trace,
+        )
         ext = outcome.stats
         step = StepRecord(
             prefix=size,
@@ -234,7 +245,8 @@ def solve_ifvs(
     certificate = None
     if decision == "yes":
         certificate = tuple(sorted(order[p] for p in current))
-        assert g.is_ifvs(mask_of(certificate))
+        chosen = mask_of(certificate)
+        assert g.is_ifvs(chosen) and not chosen & undeletable
         assert len(certificate) <= k
     stats.ms = (time.perf_counter() - t0) * 1000.0
     return SolveOutcome(decision=decision, certificate=certificate, stats=stats)

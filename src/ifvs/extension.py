@@ -27,7 +27,9 @@ components, which the tables cannot see; every assembled certificate is
 therefore re-validated, and an exact bounded search replaces the DP
 answer for a candidate whose certificate fails that check.
 :func:`min_ifvs_given_fvs` is the one path that turns a candidate into an
-exact cost: the DP, then the validity gate, then the search.
+exact cost: the DP, then the validity gate, then the search.  A caller
+may also name vertices that no solution may hold; they are never chosen
+from ``f`` and are forbidden in every extension.
 
 Candidates wait in one queue keyed by a proven lower bound on their
 exact total, least first, and an entry whose bound reaches the best
@@ -134,7 +136,7 @@ class Candidate(NamedTuple):
     size: int
     l: int  # number of components of the undeleted fvs part
     comp_masks: tuple[int, ...]
-    forbidden: int  # forest vertices adjacent to fvs_part
+    forbidden: int  # forest vertices adjacent to fvs_part, or undeletable
     fvs: int
 
 
@@ -145,7 +147,7 @@ class ExtensionStats:
     """
 
     __slots__ = (
-        "candidates_scanned",  # subsets of the fvs, 2**|f|
+        "candidates_scanned",  # subsets of the fvs minus its undeletable vertices
         "candidates_accepted",  # of those, independent with an acyclic rest
         "max_l",  # most components left by an accepted candidate
         "dp_cells",  # row evaluations over every DP run
@@ -225,32 +227,34 @@ def _admit(adj: tuple[int, ...], f: int, sub: int) -> tuple[str, tuple[int, ...]
     return "", tuple(comps)
 
 
-def _build_candidate(g: Graph, f: int, sub: int, comps: tuple[int, ...]) -> Candidate:
+def _build_candidate(
+    g: Graph, f: int, sub: int, comps: tuple[int, ...], undeletable: int
+) -> Candidate:
     return Candidate(
         fvs_part=sub,
         size=sub.bit_count(),
         l=len(comps),
         comp_masks=comps,
-        forbidden=g.neighbors(sub) & ~f,
+        forbidden=(g.neighbors(sub) | undeletable) & ~f,
         fvs=f,
     )
 
 
-def enumerate_candidates(g: Graph, f: int) -> Iterator[Candidate]:
+def enumerate_candidates(g: Graph, f: int, *, undeletable: int = 0) -> Iterator[Candidate]:
     """Yield every subset of ``f`` that could sit inside a solution.
 
-    A subset qualifies iff it is independent and the rest of ``f``
-    induces an acyclic subgraph.  Subsets stream in ascending bitmask
-    order; the empty set is always considered.  The solver admits
-    subsets inside :func:`min_ifvs_given_fvs`; this is the reference the
-    tests hold that scan to.
+    A subset qualifies iff it avoids ``undeletable``, is independent, and
+    the rest of ``f`` induces an acyclic subgraph.  Subsets stream in
+    ascending bitmask order; the empty set is always considered.  The
+    solver admits subsets inside :func:`min_ifvs_given_fvs`; this is the
+    reference the tests hold that scan to.
     """
     if not g.is_fvs(f):
         raise NotAnFvsError("candidate enumeration requires a feedback vertex set")
-    for sub in _iter_subsets(f):
+    for sub in _iter_subsets(f & ~undeletable):
         reason, comps = _admit(g.adj, f, sub)
         if not reason:
-            yield _build_candidate(g, f, sub, comps)
+            yield _build_candidate(g, f, sub, comps, undeletable)
 
 
 def direct_component_links(g: Graph, cand: Candidate, v: int) -> tuple[int, bool]:
@@ -412,9 +416,9 @@ def _compute_tables(g: Graph, forest: RootedForest, cand: Candidate) -> DpTables
             # a shared row is the only child's, so its minimum is known
             min_keep[v] = min_keep[c] if row is kc else min(row.values(), default=INF)
         keep[v] = row
-        # deleting a neighbor of the chosen fvs part is infeasible; a
-        # deleted vertex forces its children to stay, and an infeasible
-        # child leaves the sum at least INF
+        # deleting a neighbor of the chosen fvs part, or an undeletable
+        # vertex, is infeasible; a deleted vertex forces its children to
+        # stay, and an infeasible child leaves the sum at least INF
         if not forb >> v & 1:
             value = unit | mark[v]
             for c in ch:
@@ -606,28 +610,33 @@ def min_ifvs_given_fvs(
     g: Graph,
     f: int,
     *,
+    undeletable: int = 0,
     lower: int = 0,
     trace: TextIO | None = None,
 ) -> ExtensionOutcome:
     """Minimum independent feedback vertex set of ``g``, given an FVS ``f``.
 
-    Runs every admissible subset of ``f`` through the queue of the module
-    docstring and keeps the cheapest assembled solution.  At an equal
-    bound DPs leave first, in ``(size, bitmask)`` order, then search
-    levels in ``(DP total, size, bitmask)`` order, and ties go to the
-    first.  ``lower`` must not exceed the optimum, such as the optimum of
-    an induced subgraph; no bound is below it, so once the best total
-    equals it every entry is pruned.  Reports absence when every
-    candidate is infeasible.  Raises :class:`NotAnFvsError` when ``f`` is
-    not an FVS.  ``trace`` receives the rooted forest, then one line per
-    subset of ``f`` once it is rejected or leaves the queue for good.
+    The solution may hold no vertex of the mask ``undeletable``: only the
+    subsets of ``f`` that avoid it are scanned, and every extension
+    treats its vertices outside ``f`` as forbidden.  Runs every
+    admissible subset through the queue of the module docstring and
+    keeps the cheapest assembled solution.  At an equal bound DPs leave
+    first, in ``(size, bitmask)`` order, then search levels in
+    ``(DP total, size, bitmask)`` order, and ties go to the first.
+    ``lower`` must not exceed the optimum, such as the optimum of an
+    induced subgraph; no bound is below it, so once the best total equals
+    it every entry is pruned.  Reports absence when every candidate is
+    infeasible.  Raises :class:`NotAnFvsError` when ``f`` is not an FVS.
+    ``trace`` receives the rooted forest, then one line per scanned
+    subset once it is rejected or leaves the queue for good.
     """
     try:
         forest = root_forest(g, f)
     except NotAForestError as exc:
         raise NotAnFvsError("the provided set is not a feedback vertex set") from exc
     stats = ExtensionStats()
-    stats.candidates_scanned = 1 << f.bit_count()
+    scan = f & ~undeletable
+    stats.candidates_scanned = 1 << scan.bit_count()
 
     if trace is not None:
         trace.write(f"forest nodes ({len(forest.order)} vertices, v parent [children]):\n")
@@ -645,7 +654,7 @@ def min_ifvs_given_fvs(
     # then), stage 1 one level of the exact search.  Every improvement is
     # strict, so ties keep the first candidate in key order.
     queue: list[tuple] = []
-    for sub in _iter_subsets(f):
+    for sub in _iter_subsets(scan):
         reason, comps = _admit(g.adj, f, sub)
         if not reason:
             size = sub.bit_count()
@@ -697,7 +706,7 @@ def min_ifvs_given_fvs(
                 if trace is not None:
                     note(sub, f"accepted l={len(comps)} pruned (cycles={cycles})")
                 continue
-        cand = _build_candidate(g, f, sub, comps)
+        cand = _build_candidate(g, f, sub, comps, undeletable)
         cost, extension, tables = _run_dp(g, forest, cand, best_total - size)
         evals = sum(tables.row_evals)
         stats.dp_cells += evals

@@ -2,7 +2,8 @@
 
 Edge-list format: first line ``n m``, then ``m`` lines ``u v`` with
 0-based ids.  DIMACS format: ``c`` comment lines, one ``p edge n m``
-line, then ``m`` lines ``e u v`` with 1-based ids.
+line, then ``m`` lines ``e u v`` with 1-based ids.  Every count and id
+is a run of ASCII digits.
 """
 
 from __future__ import annotations
@@ -30,9 +31,19 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _number(field: str) -> int:
+    """``field`` as a count or vertex id, which must be ASCII digits.
+
+    ``int`` alone also takes a sign, underscores and non-ASCII digits,
+    such as the Arabic-Indic ones; those raise ``ValueError`` here, as
+    ``int`` does for any other text.
+    """
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"not ASCII digits: {field!r}")
+    return int(field)
+
+
 def _check_counts(n: int, m: int, line_no: int, line: str) -> None:
-    if n < 0 or m < 0:
-        raise ParseError("negative count in header", line_no, line)
     if n > MAX_VERTICES:
         raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}", line_no, line)
     if m > MAX_EDGES:
@@ -48,9 +59,9 @@ def _edge(
     repeated pair in either orientation is rejected at its own line.
     """
     try:
-        u, v = int(fields[0]) - base, int(fields[1]) - base
+        u, v = _number(fields[0]) - base, _number(fields[1]) - base
     except ValueError:
-        raise ParseError("non-integer edge endpoint", line_no, line) from None
+        raise ParseError("edge endpoint is not ASCII digits", line_no, line) from None
     if not (0 <= u < n and 0 <= v < n):
         raise ParseError(f"endpoint out of range [{base}, {n + base})", line_no, line)
     if u == v:
@@ -92,9 +103,9 @@ def parse_edgelist(text: str) -> Graph:
             if len(parts) != 2:
                 raise ParseError("expected header 'n m'", idx, raw)
             try:
-                n, declared_m = int(parts[0]), int(parts[1])
+                n, declared_m = _number(parts[0]), _number(parts[1])
             except ValueError:
-                raise ParseError("non-integer header", idx, raw) from None
+                raise ParseError("header count is not ASCII digits", idx, raw) from None
             _check_counts(n, declared_m, idx, raw)
             header = (n, declared_m)
             continue
@@ -134,9 +145,9 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError("expected 'p edge n m'", idx, raw)
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = _number(parts[2]), _number(parts[3])
             except ValueError:
-                raise ParseError("non-integer problem line", idx, raw) from None
+                raise ParseError("problem line count is not ASCII digits", idx, raw) from None
             _check_counts(n, declared_m, idx, raw)
         elif parts[0] == "e":
             if n is None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -480,6 +481,54 @@ def test_counters_match_the_candidate_scan():
         assert stats.max_l == max((c.l for c in cands), default=0)
         assert stats.bound_pruned <= stats.pruned <= stats.candidates_accepted
         assert stats.fallbacks <= stats.candidates_accepted
+
+
+def _masked_corpus(seed):
+    """Plain and grown ``_fvs_corpus`` pairs, each with three undeletable masks.
+
+    The masks are empty, a random part of ``f``, and a random part of the
+    whole graph.
+    """
+    rng = random.Random(seed)
+    for g, f in [*_fvs_corpus(seed, 100), *_grown_fvs_corpus(seed + 1, 100)]:
+        inside = mask_of(v for v in bits(f) if rng.random() < 0.4)
+        anywhere = mask_of(v for v in range(g.n) if rng.random() < 0.3)
+        for u in (0, inside, anywhere):
+            yield g, f, u
+
+
+def _brute_min_avoiding(g, u):
+    """Least size of an IFVS of ``g`` with no vertex of ``u``, or None."""
+    free = [v for v in range(g.n) if not u >> v & 1]
+    for size in range(len(free) + 1):
+        for combo in itertools.combinations(free, size):
+            if g.is_ifvs(mask_of(combo)):
+                return size
+    return None
+
+
+def test_undeletable_mask_is_exact():
+    # the optimum over the independent FVSs that avoid the mask, whether
+    # its vertices lie in f or in the forest
+    for g, f, u in _masked_corpus(61):
+        out = min_ifvs_given_fvs(g, f, undeletable=u)
+        assert out.size == _brute_min_avoiding(g, u), (g.edges, f, u)
+        if out.size is not None:
+            chosen = mask_of(out.certificate)
+            assert g.is_ifvs(chosen) and not chosen & u
+
+
+def test_masked_counters_match_the_masked_candidate_scan():
+    # the mask drops the subsets of f that meet it and forbids its forest
+    # vertices; every other field of a candidate stays as it was
+    for g, f, u in _masked_corpus(63):
+        stats = min_ifvs_given_fvs(g, f, undeletable=u).stats
+        cands = list(enumerate_candidates(g, f, undeletable=u))
+        assert stats.candidates_scanned == 2 ** (f & ~u).bit_count()
+        assert stats.candidates_accepted == len(cands)
+        assert stats.max_l == max((c.l for c in cands), default=0)
+        plain = [c for c in enumerate_candidates(g, f) if not c.fvs_part & u]
+        assert cands == [c._replace(forbidden=c.forbidden | u & ~f) for c in plain]
 
 
 def test_trace_writes_one_line_per_subset():

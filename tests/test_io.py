@@ -109,3 +109,25 @@ def test_surplus_edges_fail_at_the_first_surplus_line():
     with pytest.raises(ParseError) as err:
         load_graph("2 0\n# none declared\n0 1\n")
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    ("parse", "text", "line_no"),
+    [
+        (parse_edgelist, "12 1\n1_0 1\n", 2),
+        (parse_edgelist, "3 1\n+2 0\n", 2),
+        (parse_edgelist, "3 1\n٢ 0\n", 2),
+        (parse_edgelist, "3 1\n-1 0\n", 2),
+        (parse_edgelist, "3 +1\n0 1\n", 1),
+        (parse_edgelist, "3_0 0\n", 1),
+        (parse_dimacs, "p edge 3 1\ne +3 1\n", 2),
+        (parse_dimacs, "p edge 3 1\ne 1_0 1\n", 2),
+        (parse_dimacs, "p edge ٣ 0\n", 1),
+    ],
+)
+def test_counts_and_ids_must_be_ascii_digits(parse, text, line_no):
+    # int() alone takes signs, underscores and non-ASCII digits
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line_no == line_no
+    assert f"line {line_no}: " in str(err.value) and "not ASCII digits" in str(err.value)

@@ -89,3 +89,18 @@ def test_solve_fvs_matches_oracle_random():
             if out.decision == "yes":
                 assert g.is_fvs(mask_of(out.certificate))
                 assert len(out.certificate) <= k
+
+
+def test_fvs_certificates_hold_original_vertices_only():
+    # subdivision vertices are undeletable, so a certificate needs no
+    # mapping: it is a minimum FVS of g and an IFVS of the subdivision
+    rng = random.Random(54)
+    for _ in range(60):
+        g = random_graph(rng, n_max=9)
+        sub, _ = subdivide(g)
+        for seed in (None, 3):
+            out = solve_fvs(g, g.n, seed=seed)
+            assert out.decision == "yes"
+            assert set(out.certificate) <= set(range(g.n))
+            assert len(out.certificate) == brute_min_fvs(g)[0]
+            assert sub.is_ifvs(mask_of(out.certificate))
