@@ -7,9 +7,9 @@ feedback vertex set instances are handled through the edge-subdivision
 reduction.  Brute-force oracles back the differential test suite.
 
 Result and helper types (``SolveOutcome``, ``ExtensionOutcome``,
-``Candidate``, ``DpTables``, ``RootedForest``, ``SubdivisionMap``, ...)
-are importable from their modules.  The records among them are named
-tuples (``_fields``, ``_asdict()``), and the counters ``SolveStats`` and
+``Candidate``, ``DpTables``, ``RootedForest``, ...) are importable
+from their modules.  The records among them are named tuples
+(``_fields``, ``_asdict()``), and the counters ``SolveStats`` and
 ``ExtensionStats`` are slotted classes.
 """
 

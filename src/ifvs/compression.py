@@ -45,7 +45,7 @@ class StepRecord(NamedTuple):
     fallbacks: int = 0
     fallback_tests: int = 0  # search nodes of those fallback searches
     pruned: int = 0  # candidates the extension stage pruned
-    bound_pruned: int = 0  # of those, pruned by disjoint cycles before any DP
+    bound_pruned: int = 0  # of those, pruned by the degree bound before any DP
     skipped: bool = False  # no cycle closed, the old optimum carried over
 
 
@@ -62,7 +62,7 @@ class SolveStats:
         "fallbacks",
         "fallback_tests",
         "pruned",
-        "bound_pruned",  # pruned candidates whose DP never ran, by the cycle bound
+        "bound_pruned",  # pruned candidates whose DP never ran, by the degree bound
         "skipped",  # steps that closed no cycle and ran no extension
         "ms",
         "f_max",  # largest FVS handed to the extension stage

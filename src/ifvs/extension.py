@@ -35,15 +35,16 @@ Candidates wait in one queue keyed by a proven lower bound on their
 exact total, least first, and an entry whose bound reaches the best
 total found so far is *pruned*.  A candidate enters at its size, or at a
 caller-supplied lower bound on the optimum if higher.  It is pruned
-before its DP when ``G`` minus the candidate holds as many
-vertex-disjoint cycles as the gap between its size and the best total,
-since every extension deletes a vertex of each, and after it when its
-size plus DP value reaches the best total, since the tables only ever
-under-count.  A certificate that fails the validity gate sends the
-candidate back at its DP total, and each time it leaves again the exact
-search tries one more deletion.  So no search tries a size that a known
-total rules out, and the optimum is never below the smaller of the best
-total and the least bound in the queue.
+before its DP when the degree bound of ``G`` minus the candidate (see
+:func:`_degree_bound`) reaches the gap between its size and the best
+total, and after it when its size plus DP value reaches the best total,
+since the tables only ever under-count.  A certificate that fails the
+validity gate sends the candidate back at its DP total, and each time
+it leaves again the exact search tries one more deletion; the same
+bound ends every search node that cannot finish within its budget.  So
+no search tries a size that a known total rules out, and the optimum is
+never below the smaller of the best total and the least bound in the
+queue.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import heapq
 import math
 from typing import Iterator, NamedTuple, TextIO
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits
 
 INFEASIBLE = math.inf
 
@@ -154,7 +155,7 @@ class ExtensionStats:
         "fallbacks",  # exact searches run after a failed validity gate
         "fallback_tests",  # search nodes of those searches
         "pruned",  # accepted candidates that could not beat the best total
-        "bound_pruned",  # of those, pruned by disjoint cycles before any DP
+        "bound_pruned",  # of those, pruned by the degree bound before any DP
     )
 
     def __init__(self) -> None:
@@ -520,29 +521,42 @@ def _find_cycle(g: Graph, core: int) -> tuple[int, ...] | None:
     raise AssertionError("a non-empty 2-core must contain a cycle")
 
 
-def _disjoint_cycles(g: Graph, core: int, sub: int, cap: int) -> int:
-    """Vertex-disjoint cycles of ``g - sub``, packed greedily, counted up to ``cap``.
+def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> int:
+    """Fewest vertices of ``deletable`` an independent set needs to clear ``core``.
 
-    ``core`` is the 2-core of ``g``; removing ``sub`` lowers only the
-    degrees of its neighbours, so the re-strip starts from them.  Each
-    cycle is a :func:`_find_cycle` cycle of what is left, and the core
-    is re-stripped from that cycle's neighbours.  A non-empty 2-core
-    holds a cycle, so the last one counted is never extracted.  Every
-    extension of ``sub`` deletes a vertex of each cycle, so the count is
-    a lower bound on its cost.
+    ``core`` is a 2-core (see :func:`_strip`) with ``n`` vertices, ``m``
+    edges and ``c`` components.  An independent set removes exactly the
+    edges at its vertices and keeps a vertex of every component, so to
+    leave a forest its degrees, less one each, must sum to ``m - n + c``
+    or more.  The bound is the least ``t`` for which the ``t`` largest of
+    those values over ``deletable`` reach it: 0 for an empty core, and
+    ``len(adj) + 1`` when none do.  One flood fill per component counts
+    the components, the edge ends and the values.
     """
-    adj = g.adj
-    core &= ~sub
-    core = _strip(adj, core, g.neighbors(sub) & core)
-    count = 0
-    while core:
-        count += 1
-        if count >= cap:
-            break
-        cycle = mask_of(_find_cycle(g, core))  # type: ignore[arg-type]
-        core &= ~cycle
-        core = _strip(adj, core, g.neighbors(cycle) & core)
-    return count
+    comps = ends = 0
+    gains: list[int] = []
+    rest = core
+    while rest:
+        comps += 1
+        comp = todo = rest & -rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            nb = adj[low.bit_length() - 1] & core
+            degree = nb.bit_count()
+            ends += degree
+            if deletable & low:
+                gains.append(degree - 1)
+            todo |= nb & ~comp
+            comp |= nb
+        rest &= ~comp
+    need = ends // 2 - core.bit_count() + comps
+    gains.sort(reverse=True)
+    t = 0
+    while need > 0 and t < len(gains):
+        need -= gains[t]
+        t += 1
+    return t if need <= 0 else len(adj) + 1
 
 
 def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None, int]:
@@ -553,8 +567,9 @@ def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None
     deleting one forbids its neighbors and the alternatives already
     tried).  The remaining graph is kept as its 2-core: the universe is
     stripped once per call, and each branch re-strips only from the
-    deleted vertex's neighbours.  ``tests`` counts search nodes, each one
-    test of whether the remaining graph is acyclic.  Returns
+    deleted vertex's neighbours, and a node whose :func:`_degree_bound`
+    exceeds its budget ends there.  ``tests`` counts search nodes, each
+    one test of whether the remaining graph is acyclic.  Returns
     ``(extension_mask, tests)``; the mask holds at most ``budget``
     vertices, and is None when no valid extension is that small.
     """
@@ -569,7 +584,7 @@ def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None
         tests += 1
         if not core:
             return deleted
-        if budget == 0:
+        if _degree_bound(adj, core, allowed) > budget:
             return None
         remaining = allowed
         for v in sorted(_find_cycle(g, core)):  # type: ignore[arg-type]
@@ -698,13 +713,15 @@ def min_ifvs_given_fvs(
                 note(sub, f"accepted l={len(comps)} pruned")
             continue
         if best_total < INFEASIBLE:
-            gap = int(best_total) - size  # at least 1, since bound < best_total
-            cycles = _disjoint_cycles(g, core, sub, gap)
-            if cycles >= gap:
+            # the 2-core of G - sub: only sub's neighbours lost degree
+            near = g.neighbors(sub)
+            rest = _strip(g.adj, core & ~sub, near & core)
+            need = _degree_bound(g.adj, rest, rest & ~(f | near | undeletable))
+            if need >= int(best_total) - size:
                 stats.pruned += 1
                 stats.bound_pruned += 1
                 if trace is not None:
-                    note(sub, f"accepted l={len(comps)} pruned (cycles={cycles})")
+                    note(sub, f"accepted l={len(comps)} pruned (bound={need})")
                 continue
         cand = _build_candidate(g, f, sub, comps, undeletable)
         cost, extension, tables = _run_dp(g, forest, cand, best_total - size)

@@ -36,18 +36,27 @@ def _number(field: str) -> int:
 
     ``int`` alone also takes a sign, underscores and non-ASCII digits,
     such as the Arabic-Indic ones; those raise ``ValueError`` here, as
-    ``int`` does for any other text.
+    ``int`` does for any other text.  ``int`` also refuses more digits
+    than ``sys.get_int_max_str_digits()``, so a field with more than 18
+    significant digits, past every limit, reads as ``10**18``.
     """
     if not (field.isascii() and field.isdigit()):
         raise ValueError(f"not ASCII digits: {field!r}")
-    return int(field)
+    digits = field.lstrip("0") or "0"
+    return int(digits) if len(digits) <= 18 else 10**18
 
 
-def _check_counts(n: int, m: int, line_no: int, line: str) -> None:
+def _counts(fields: list[str], what: str, line_no: int, line: str) -> tuple[int, int]:
+    """The vertex and edge counts of a ``what`` line, each within its limit."""
+    try:
+        n, m = _number(fields[0]), _number(fields[1])
+    except ValueError:
+        raise ParseError(f"{what} count is not ASCII digits", line_no, line) from None
     if n > MAX_VERTICES:
-        raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}", line_no, line)
+        raise ParseError(f"{fields[0]} vertices exceed the limit of {MAX_VERTICES}", line_no, line)
     if m > MAX_EDGES:
-        raise ParseError(f"{m} edges exceed the limit of {MAX_EDGES}", line_no, line)
+        raise ParseError(f"{fields[1]} edges exceed the limit of {MAX_EDGES}", line_no, line)
+    return n, m
 
 
 def _edge(
@@ -102,12 +111,8 @@ def parse_edgelist(text: str) -> Graph:
         if header is None:
             if len(parts) != 2:
                 raise ParseError("expected header 'n m'", idx, raw)
-            try:
-                n, declared_m = _number(parts[0]), _number(parts[1])
-            except ValueError:
-                raise ParseError("header count is not ASCII digits", idx, raw) from None
-            _check_counts(n, declared_m, idx, raw)
-            header = (n, declared_m)
+            header = _counts(parts, "header", idx, raw)
+            declared_m = header[1]
             continue
         if len(edges) == declared_m:
             raise ParseError(f"more than the declared {declared_m} edges", idx, raw)
@@ -144,11 +149,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError("duplicate problem line", idx, raw)
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError("expected 'p edge n m'", idx, raw)
-            try:
-                n, declared_m = _number(parts[2]), _number(parts[3])
-            except ValueError:
-                raise ParseError("problem line count is not ASCII digits", idx, raw) from None
-            _check_counts(n, declared_m, idx, raw)
+            n, declared_m = _counts(parts[2:], "problem line", idx, raw)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", idx, raw)

@@ -20,41 +20,22 @@ certificate is then a set of original vertices as it stands.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .compression import SolveOutcome, solve_ifvs
 from .graph import Graph, mask_of
 
 
-class SubdivisionMap(NamedTuple):
-    """Bookkeeping for one subdivision pass, a named tuple.
+def subdivide(g: Graph) -> Graph:
+    """Replace every edge ``{u, v}`` by a path ``u - x - v``.
 
-    Subdivision vertex ``original_n + i`` splits ``edges[i]``; the
-    resulting graph has ``n + m`` vertices and ``2 m`` edges.
+    Subdivision vertex ``g.n + i`` splits ``g.edges[i]``, so the result
+    has ``n + m`` vertices and ``2 m`` edges.
     """
-
-    original_n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def edge_of(self, x: int) -> tuple[int, int]:
-        return self.edges[x - self.original_n]
-
-    def map_back(self, vertices) -> tuple[int, ...]:
-        """Replace subdivision vertices by the lower-id endpoint, dedupe."""
-        out = set()
-        for v in vertices:
-            out.add(v if v < self.original_n else self.edge_of(v)[0])
-        return tuple(sorted(out))
-
-
-def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
-    """Replace every edge ``{u, v}`` by a path ``u - x - v``."""
     edges = []
     for i, (u, v) in enumerate(g.edges):
         x = g.n + i
         edges.append((u, x))
         edges.append((x, v))
-    return Graph(g.n + g.m, edges), SubdivisionMap(g.n, g.edges)
+    return Graph(g.n + g.m, edges)
 
 
 def solve_fvs(g: Graph, k: int, **kwargs) -> SolveOutcome:
@@ -65,7 +46,7 @@ def solve_fvs(g: Graph, k: int, **kwargs) -> SolveOutcome:
     vertices only.  Keyword arguments pass through to
     :func:`ifvs.compression.solve_ifvs`.
     """
-    sub, _ = subdivide(g)
+    sub = subdivide(g)
     outcome = solve_ifvs(sub, k, undeletable=sub.vertex_mask & ~g.vertex_mask, **kwargs)
     if outcome.decision == "absent":
         # cannot happen: any minimum FVS of g is an IFVS of the subdivision

@@ -129,7 +129,7 @@ def test_criterion_4_reduction_identity():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = Graph(n, rng.sample(pairs, m))
         fvs_size, _ = brute_min_fvs(g)
-        sub, _ = subdivide(g)
+        sub = subdivide(g)
         oracle = brute_min_ifvs(sub)
         assert oracle is not None and oracle[0] == fvs_size, g.edges
         out = solve_fvs(g, fvs_size)

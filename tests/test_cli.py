@@ -179,13 +179,14 @@ def test_fallback_counters_are_reported():
 def test_bound_pruned_counter_is_reported():
     from ifvs import format_edgelist, generate
 
-    # generate(8, 12, 1) prunes three candidates by disjoint cycles
+    # generate(8, 12, 1) prunes six candidates by the degree bound (three
+    # when the bound was a disjoint-cycle packing)
     text = format_edgelist(generate(8, 12, 1))
     proc = run_cli("ifvs", "--k", "8", "--json", "-v", "--trace", stdin=text)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     stats, steps = report["stats"], report["steps"]
-    assert stats["bound_pruned"] == sum(s["bound_pruned"] for s in steps) == 3
+    assert stats["bound_pruned"] == sum(s["bound_pruned"] for s in steps) == 6
     assert stats["bound_pruned"] <= stats["pruned"]
     assert all(s["bound_pruned"] <= s["pruned"] for s in steps)
     assert all(
@@ -193,9 +194,9 @@ def test_bound_pruned_counter_is_reported():
         for s in steps
         if not s["skipped"]
     )
-    assert proc.stderr.count("pruned (cycles=") == 3
+    assert proc.stderr.count("pruned (bound=") == 6
     plain = run_cli("ifvs", "--k", "8", "--no-timing", stdin=text)
-    assert f"pruned: {stats['pruned']}  bound_pruned: 3  " in plain.stdout
+    assert f"pruned: {stats['pruned']}  bound_pruned: 6  " in plain.stdout
 
 
 def test_gen_is_deterministic_and_forced():

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -209,17 +211,19 @@ def test_probe_counters_are_pinned():
     # generate(60, 75, 1) at k=60 is the ROADMAP baseline probe; these
     # counts are the work the solver does today, so a change to that work
     # shows up here and must update the pin on purpose.  dp_cells fell
-    # from 139,348 when the disjoint-cycle bound began pruning candidates
-    # before their DP; the bound leaves the candidates and fallbacks alone.
+    # from 139,348 when a disjoint-cycle bound began pruning candidates
+    # before their DP; that bound left the candidates and fallbacks alone.
     # dp_cells counts the dense recurrence, so sparse rows left it alone.
     # When DP values began to carry their deletions, ties among optimal
     # extensions went to high-degree vertices instead of the traceback's
     # order; the certificates of earlier steps, and so the later seeds,
     # changed: (358, 24, 122,507) and certificate (0, 3, 16, 20, 37, 43)
-    # before, with the same optimum size
+    # before, with the same optimum size.  The degree bound replaced the
+    # disjoint-cycle packing before the DP and began to cut the exact
+    # search's dead ends: (286, 27, 104,383) before, same certificate
     out = solve_ifvs(generate(60, 75, 1), 60)
     stats = out.stats
-    assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (286, 27, 104_383)
+    assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (286, 19, 97_268)
     assert out.certificate == (0, 3, 16, 20, 37, 52)
 
 
@@ -232,19 +236,55 @@ def test_fvs_probe_counters_are_pinned():
     # answer and every other counter stayed the same.  Subdivision
     # vertices became undeletable: a step scans only the subsets of the
     # seed's original vertices, and no extension deletes a subdivision
-    # vertex.  That cut (1342, 80, 53,165) to the counts below, with the
+    # vertex.  That cut (1342, 80, 53,165) to (671, 59, 1,401), with the
+    # same certificate.  The degree bound, before the DP and at every
+    # search node, then cut that to the counts below, again with the
     # same certificate
     out = solve_fvs(generate(30, 60, 1), 30)
     stats = out.stats
-    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (671, 59, 1_401)
+    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (671, 51, 224)
     assert out.certificate == (0, 4, 15, 19, 21, 25, 26)
+
+
+# optimum size of each probe of tools/hard_probes.py (None: "no" at its
+# budget), keyed as in its PROBES
+HARD_PROBE_OPTIMA = {
+    ("ifvs", (60, 75, 1), 60): 6,
+    ("ifvs", (100, 125, 3), 8): None,
+    ("ifvs", (100, 125, 3), 30): 11,
+    ("fvs", (30, 60, 1), 30): 7,
+    ("fvs", (40, 80, 1), 40): 9,
+    ("fvs", (60, 90, 1), 60): 10,
+    ("ifvs", (80, 120, 2), 80): 13,
+}
+
+
+def test_hard_probes_keep_their_optima():
+    # these sizes are what the solver printed when the degree bound came
+    # in, not the word of an independent oracle: the brute-force ones stop
+    # at 20 vertices.  "no" at k=8 agrees with the optimum 11 at k=30
+    tool = Path(__file__).resolve().parent.parent / "tools" / "hard_probes.py"
+    for node in ast.parse(tool.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "PROBES":
+            probes = ast.literal_eval(node.value)
+    assert probes == tuple(HARD_PROBE_OPTIMA)
+    for problem, (n, m, seed), k in probes:
+        g = generate(n, m, seed)
+        solve, valid = (solve_ifvs, g.is_ifvs) if problem == "ifvs" else (solve_fvs, g.is_fvs)
+        out = solve(g, k)
+        size = HARD_PROBE_OPTIMA[problem, (n, m, seed), k]
+        if size is None:
+            assert out.decision == "no", (problem, n, m, seed, k)
+        else:
+            assert out.decision == "yes" and len(out.certificate) == size, (problem, n, m, seed, k)
+            assert valid(mask_of(out.certificate))
 
 
 def test_planted_counters_are_pinned():
     # one planted-long graph at its yes budget.  Once the first candidate
     # sets the best total, every candidate whose removal leaves enough
-    # disjoint triangles to fill its gap is pruned by the disjoint-cycle
-    # bound before its DP; without the bound this graph costs 2,339 cells
+    # disjoint triangles to fill its gap is pruned by the degree bound
+    # before its DP; without a bound this graph costs 2,339 cells
     stats = solve_ifvs(planted(96, 3, 1), 3).stats
     assert (stats.candidates, stats.bound_pruned, stats.dp_cells) == (14, 8, 856)
     assert stats.bound_pruned == sum(s.bound_pruned for s in stats.steps)

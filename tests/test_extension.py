@@ -31,13 +31,12 @@ from ifvs import (
     min_ifvs_given_fvs,
     root_forest,
 )
-from ifvs import extension
 from ifvs.extension import (
     _admit,
     _compute_tables,
     _cost,
+    _degree_bound,
     _deleted,
-    _disjoint_cycles,
     _fallback_search,
     _find_cycle,
     _iter_subsets,
@@ -698,47 +697,32 @@ def rings_plus_edges(draw, max_n: int = 10):
 
 
 @settings(max_examples=120, deadline=None)
-@given(rings_plus_edges())
-def test_disjoint_cycle_bound_is_sound(g):
-    # every cycle the bound extracts is checked, through a wrapper around
-    # the _find_cycle that _disjoint_cycles looks up at call time
-    found = []
-
-    def recording(graph, core):
-        cyc = _find_cycle(graph, core)
-        found.append(cyc)
-        return cyc
-
+@given(rings_plus_edges(), st.data())
+def test_degree_bound_is_sound(g, data):
+    # the bound of every admissible candidate, as the extension stage
+    # forms it, against the exact least extension: never above it, 0
+    # exactly when G - sub is acyclic, past n only when no extension
+    # exists, and equal to it when the 2-core left is disjoint cycles, one
+    # deletion each.  Besides the empty mask, a random undeletable mask
+    # that avoids f forbids part of the forest as well
     f = mask_of(brute_min_fvs(g)[1])
+    undeletable = data.draw(st.integers(0, g.vertex_mask)) & ~f
     core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
-    extension._find_cycle = recording
-    try:
+    for u in (0, undeletable):
         for sub in _iter_subsets(f):
             if _admit(g.adj, f, sub)[0]:
                 continue
-            found.clear()
-            # at most n / 3 disjoint cycles fit, so this cap extracts each one
-            count = _disjoint_cycles(g, core, sub, g.n + 1)
-            assert len(found) == count
-            used = 0
-            for cyc in found:
-                cmask = mask_of(cyc)
-                assert len(cyc) >= 3 and cmask.bit_count() == len(cyc)
-                assert cmask & (sub | used) == 0
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    assert g.adj[a] >> b & 1
-                used |= cmask
-            assert (count == 0) == g.is_forest_within(g.vertex_mask & ~sub)
-            best = _min_extension(g, f, sub)
+            near = g.neighbors(sub)
+            rest = _strip(g.adj, core & ~sub, near & core)
+            bound = _degree_bound(g.adj, rest, rest & ~(f | near | u))
+            best = _min_extension(g, f | u, sub)
+            assert (bound == 0) == g.is_forest_within(g.vertex_mask & ~sub)
             if best is not None:
-                assert count <= best
-            # a smaller cap stops early, counting the last cycle unextracted
-            for cap in range(1, count + 2):
-                found.clear()
-                assert _disjoint_cycles(g, core, sub, cap) == min(cap, count)
-                assert len(found) == min(cap - 1, count)
-    finally:
-        extension._find_cycle = _find_cycle
+                assert bound <= best
+                if all((g.adj[v] & rest).bit_count() == 2 for v in bits(rest)):
+                    assert bound == best
+            if bound > g.n:
+                assert best is None
 
 
 def test_trace_marks_bound_pruned_candidates():
@@ -753,6 +737,6 @@ def test_trace_marks_bound_pruned_candidates():
     assert out.size == 2
     assert (out.stats.pruned, out.stats.bound_pruned, out.stats.dp_cells) == (3, 2, 6)
     text = sink.getvalue()
-    assert "candidate {0} accepted l=1 pruned (cycles=1)" in text
-    assert "candidate {3} accepted l=1 pruned (cycles=1)" in text
+    assert "candidate {0} accepted l=1 pruned (bound=1)" in text
+    assert "candidate {3} accepted l=1 pruned (bound=1)" in text
     assert "candidate {0,3} accepted l=0 pruned\n" in text

@@ -131,3 +131,27 @@ def test_counts_and_ids_must_be_ascii_digits(parse, text, line_no):
         parse(text)
     assert err.value.line_no == line_no
     assert f"line {line_no}: " in str(err.value) and "not ASCII digits" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    ("parse", "text", "message"),
+    [
+        (parse_edgelist, "1" * 5000 + " 0\n", "exceed the limit"),
+        (parse_edgelist, "3 " + "1" * 5000 + "\n", "exceed the limit"),
+        (parse_dimacs, "p edge " + "9" * 5000 + " 0\n", "exceed the limit"),
+        (parse_edgelist, "3 1\n" + "1" * 5000 + " 0\n", "out of range"),
+        (parse_dimacs, "p edge 3 1\ne 1 " + "2" * 5000 + "\n", "out of range"),
+    ],
+    ids=["edgelist-n", "edgelist-m", "dimacs-n", "edgelist-id", "dimacs-id"],
+)
+def test_fields_past_the_int_digit_limit_are_out_of_range(parse, text, message):
+    # int() refuses more than sys.get_int_max_str_digits() digits; such a
+    # field is read as past every limit, not as malformed text
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith("line ") and message in str(err.value)
+    assert "not ASCII digits" not in str(err.value)
+
+
+def test_leading_zeros_past_the_int_digit_limit_are_read():
+    assert parse_edgelist("0" * 5000 + "3 1\n0 " + "0" * 4999 + "2\n") == Graph(3, [(0, 2)])

@@ -72,13 +72,13 @@ def test_disjoint_union_adds_the_optima(g, h):
 def test_fvs_optimum_equals_ifvs_optimum_of_the_subdivision(g):
     out = solve_fvs(g, g.n)
     assert out.decision == "yes"
-    assert len(out.certificate) == optimum(subdivide(g)[0])
+    assert len(out.certificate) == optimum(subdivide(g))
 
 
 @settings(max_examples=60, deadline=None)
 @given(hub_graphs(max_n=8))
 def test_subdividing_again_keeps_the_fvs_optimum(g):
     # a subdivision has the cycles of g, so the same minimum FVS size
-    sub = subdivide(g)[0]
+    sub = subdivide(g)
     once, twice = solve_fvs(g, g.n), solve_fvs(sub, sub.n)
     assert len(once.certificate) == len(twice.certificate)

@@ -12,17 +12,16 @@ from ifvs import (
 
 
 def test_subdivide_triangle_is_c6():
-    sub, smap = subdivide(cycle(3))
+    sub = subdivide(cycle(3))
     assert sub.n == 6 and sub.m == 6
     assert len(sub.connected_components()) == 1
     assert all(sub.degree(v) == 2 for v in range(6))  # one long cycle
-    assert smap.original_n == 3
 
 
 def test_subdivide_edge_and_edgeless():
-    sub, _ = subdivide(Graph(2, [(0, 1)]))
+    sub = subdivide(Graph(2, [(0, 1)]))
     assert sub.n == 3 and sub.edges == ((0, 2), (1, 2))
-    sub, _ = subdivide(Graph(3))
+    sub = subdivide(Graph(3))
     assert sub == Graph(3)
 
 
@@ -30,19 +29,15 @@ def test_subdivision_structure_random():
     rng = random.Random(51)
     for _ in range(100):
         g = random_graph(rng, n_max=9)
-        sub, smap = subdivide(g)
+        sub = subdivide(g)
         assert sub.n == g.n + g.m and sub.m == 2 * g.m
         # originals form an independent set; every edge touches a new vertex
         assert sub.is_independent_set((1 << g.n) - 1)
         for u, v in sub.edges:
             assert (u < g.n) != (v < g.n)
-
-
-def test_map_back_prefers_lower_endpoint():
-    g = Graph(3, [(1, 2)])
-    _, smap = subdivide(g)
-    assert smap.map_back([3]) == (1,)
-    assert smap.map_back([0, 3, 1]) == (0, 1)
+        # subdivision vertex n + i splits the i-th edge
+        for i, (u, v) in enumerate(g.edges):
+            assert sub.adj[g.n + i] == (1 << u) | (1 << v)
 
 
 def test_solve_fvs_examples():
@@ -72,7 +67,7 @@ def test_reduction_identity_random():
     for _ in range(60):
         g = random_graph(rng, n_max=8)
         fvs_size, _ = brute_min_fvs(g)
-        sub, _ = subdivide(g)
+        sub = subdivide(g)
         if sub.n <= 20:
             oracle = brute_min_ifvs(sub)
             assert oracle is not None and oracle[0] == fvs_size
@@ -97,7 +92,7 @@ def test_fvs_certificates_hold_original_vertices_only():
     rng = random.Random(54)
     for _ in range(60):
         g = random_graph(rng, n_max=9)
-        sub, _ = subdivide(g)
+        sub = subdivide(g)
         for seed in (None, 3):
             out = solve_fvs(g, g.n, seed=seed)
             assert out.decision == "yes"
