@@ -14,6 +14,7 @@ from __future__ import annotations
 from .compression import COUNTERS, solve_ifvs
 from .generator import check_shape, generate
 from .graph import Graph
+from .io import _number
 
 # later columns are appended, so readers that index by position keep working
 _FIRST_COLUMNS = (
@@ -31,8 +32,10 @@ def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
     """Parse a family spec: CSV lines ``n,m,k,reps`` (header optional).
 
     Blank lines and ``#`` comments are skipped; a header may only be the
-    first line left.  Every row must be one that :func:`generate` and
-    :func:`solve_ifvs` accept.
+    first line left, and only if its first field holds no digit of any
+    script.  Every field is an optional ``-`` and then ASCII digits, and
+    every row must be one that :func:`generate` and :func:`solve_ifvs`
+    accept.
     """
     rows = []
     first = True
@@ -43,12 +46,12 @@ def parse_spec(text: str) -> list[tuple[int, int, int, int]]:
         parts = [p.strip() for p in line.split(",")]
         if first:
             first = False
-            if not parts[0].lstrip("-").isdigit():
+            if not any(c.isdigit() for c in parts[0]):
                 continue  # header row
         if len(parts) != 4:
             raise ValueError(f"spec line {idx}: expected 'n,m,k,reps', got {line!r}")
         try:
-            n, m, k, reps = (int(p) for p in parts)
+            n, m, k, reps = (-_number(p[1:]) if p[:1] == "-" else _number(p) for p in parts)
         except ValueError:
             raise ValueError(f"spec line {idx}: non-integer field in {line!r}") from None
         if k < 0:

@@ -474,53 +474,6 @@ def _strip(adj: tuple[int, ...], core: int, todo: int) -> int:
     return core
 
 
-def _find_cycle(g: Graph, core: int) -> tuple[int, ...] | None:
-    """Some cycle inside ``core``, or None when ``core`` is empty.
-
-    ``core`` must be a 2-core: every vertex in it has two or more
-    neighbours in it (see :func:`_strip`), so a non-empty one holds a
-    cycle.  Deterministic: BFS from the smallest vertex until an edge
-    closes, which keeps the returned cycle short.
-    """
-    if not core:
-        return None
-    adj = g.adj
-    root = (core & -core).bit_length() - 1
-    parent = [-1] * g.n
-    depth = [-1] * g.n
-    depth[root] = 0
-    frontier = [root]
-    while frontier:
-        upcoming = []
-        for u in frontier:
-            du = depth[u]
-            pu = parent[u]
-            m = adj[u] & core
-            while m:
-                low = m & -m
-                m ^= low
-                w = low.bit_length() - 1
-                dw = depth[w]
-                if dw < 0:
-                    parent[w] = u
-                    depth[w] = du + 1
-                    upcoming.append(w)
-                elif w != pu and dw <= du:
-                    # non-tree edge: join the two root paths into a cycle
-                    left, right = [u], [w]
-                    a, b = u, w
-                    while a != b:
-                        if depth[a] >= depth[b]:
-                            a = parent[a]
-                            left.append(a)
-                        else:
-                            b = parent[b]
-                            right.append(b)
-                    return tuple(left[:-1] + right[::-1])
-        frontier = upcoming
-    raise AssertionError("a non-empty 2-core must contain a cycle")
-
-
 def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> int:
     """Fewest vertices of ``deletable`` an independent set needs to clear ``core``.
 
@@ -562,16 +515,18 @@ def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> int:
 def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None, int]:
     """One level of an exact search for a valid extension of ``cand``.
 
-    Branches on cycles of the remaining graph: every cycle must lose one
-    deletable vertex, so branches follow the cycle's vertices (ascending;
-    deleting one forbids its neighbors and the alternatives already
-    tried).  The remaining graph is kept as its 2-core: the universe is
-    stripped once per call, and each branch re-strips only from the
-    deleted vertex's neighbours, and a node whose :func:`_degree_bound`
-    exceeds its budget ends there.  ``tests`` counts search nodes, each
-    one test of whether the remaining graph is acyclic.  Returns
-    ``(extension_mask, tests)``; the mask holds at most ``budget``
-    vertices, and is None when no valid extension is that small.
+    Branches on one vertex of the remaining graph, the deletable one with
+    the most neighbours in it (ties to the smallest id): first delete it,
+    which forbids its neighbours, then keep it, which only takes it out of
+    the deletable set.  The remaining graph is kept as its 2-core: the
+    universe is stripped once per call, and a deletion re-strips only from
+    the deleted vertex's neighbours, and a node whose :func:`_degree_bound`
+    exceeds its budget ends there.  The keep branch is the next pass of a
+    loop, not a call, so the recursion is at most ``budget + 1`` deep.
+    ``tests`` counts search nodes, each one test of whether the remaining
+    graph is acyclic.  Returns ``(extension_mask, tests)``; the mask holds
+    at most ``budget`` vertices, and is None when no valid extension is
+    that small.
     """
     base = cand.fvs_part
     universe = g.vertex_mask & ~base
@@ -581,26 +536,26 @@ def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None
 
     def dfs(core: int, deleted: int, allowed: int, budget: int) -> int | None:
         nonlocal tests
-        tests += 1
-        if not core:
-            return deleted
-        if _degree_bound(adj, core, allowed) > budget:
-            return None
-        remaining = allowed
-        for v in sorted(_find_cycle(g, core)):  # type: ignore[arg-type]
+        while True:
+            tests += 1
+            if not core:
+                return deleted
+            # a non-empty 2-core needs m - n + c >= 1, so with no deletable
+            # vertex in it the bound is len(adj) + 1, above every budget
+            # the solver passes (at most n): max() never sees an empty set
+            if _degree_bound(adj, core, allowed) > budget:
+                return None
+            v = max(bits(core & allowed), key=lambda u: (adj[u] & core).bit_count())
             bit = 1 << v
-            if not remaining & bit:
-                continue
             found = dfs(
                 _strip(adj, core ^ bit, adj[v] & core),
                 deleted | bit,
-                remaining & ~bit & ~adj[v],
+                allowed & ~bit & ~adj[v],
                 budget - 1,
             )
             if found is not None:
                 return found
-            remaining &= ~bit  # later branches keep v
-        return None
+            allowed ^= bit  # keep v
 
     ext = dfs(_strip(adj, universe, universe), 0, allowed_all, budget)
     if ext is not None and not g.is_ifvs(base | ext):

@@ -9,6 +9,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from ifvs import Graph
+from ifvs.extension import Candidate, _fallback_search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,6 +64,23 @@ def random_graph(rng: random.Random, n_max: int = 12, m_cap: int | None = None) 
     m = rng.randint(0, min(limit, m_cap if m_cap is not None else 2 * n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, rng.sample(pairs, m))
+
+
+def search_min_ifvs(g: Graph, undeletable: int = 0) -> int | None:
+    """Least size of an IFVS of ``g`` that avoids ``undeletable``, or None.
+
+    Runs the extension's exact search alone, on the empty candidate with
+    ``undeletable`` forbidden, at budgets 0, 1, 2, ... until one finds an
+    extension.  No DP, queue or compression step takes part, so this is
+    an oracle for graphs past the brute-force limit.
+    """
+    cand = Candidate(0, 0, 0, (), forbidden=undeletable, fvs=0)
+    for budget in range((g.vertex_mask & ~undeletable).bit_count() + 1):
+        ext, _ = _fallback_search(g, cand, budget)
+        if ext is not None:
+            assert ext.bit_count() == budget and not ext & undeletable
+            return budget
+    return None
 
 
 @st.composite

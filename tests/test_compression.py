@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cycle, graphs, path, planted, random_graph
+from conftest import complete, cycle, graphs, path, planted, random_graph, search_min_ifvs
 from ifvs import (
     Graph,
     brute_min_ifvs,
@@ -14,6 +14,7 @@ from ifvs import (
     mask_of,
     solve_fvs,
     solve_ifvs,
+    subdivide,
 )
 from ifvs.compression import _prefix_graph, _relabel
 
@@ -238,11 +239,13 @@ def test_fvs_probe_counters_are_pinned():
     # seed's original vertices, and no extension deletes a subdivision
     # vertex.  That cut (1342, 80, 53,165) to (671, 59, 1,401), with the
     # same certificate.  The degree bound, before the DP and at every
-    # search node, then cut that to the counts below, again with the
-    # same certificate
+    # search node, then cut that to (671, 51, 224), again with the same
+    # certificate.  Branching the search on one vertex, delete or keep,
+    # instead of on a cycle's vertices cut fallback_tests to the count
+    # below; the certificate and the other counters stayed the same
     out = solve_fvs(generate(30, 60, 1), 30)
     stats = out.stats
-    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (671, 51, 224)
+    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (671, 51, 178)
     assert out.certificate == (0, 4, 15, 19, 21, 25, 26)
 
 
@@ -260,9 +263,10 @@ HARD_PROBE_OPTIMA = {
 
 
 def test_hard_probes_keep_their_optima():
-    # these sizes are what the solver printed when the degree bound came
-    # in, not the word of an independent oracle: the brute-force ones stop
-    # at 20 vertices.  "no" at k=8 agrees with the optimum 11 at k=30
+    # the brute-force oracles stop at 20 vertices, so each pinned size,
+    # and each "no", is checked against the exact search run alone over
+    # the whole graph (search_min_ifvs), which shares no DP, queue or
+    # compression step with the solver
     tool = Path(__file__).resolve().parent.parent / "tools" / "hard_probes.py"
     for node in ast.parse(tool.read_text()).body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "PROBES":
@@ -273,9 +277,15 @@ def test_hard_probes_keep_their_optima():
         solve, valid = (solve_ifvs, g.is_ifvs) if problem == "ifvs" else (solve_fvs, g.is_fvs)
         out = solve(g, k)
         size = HARD_PROBE_OPTIMA[problem, (n, m, seed), k]
-        if size is None:
-            assert out.decision == "no", (problem, n, m, seed, k)
+        if problem == "ifvs":
+            least = search_min_ifvs(g)
         else:
+            sub = subdivide(g)
+            least = search_min_ifvs(sub, sub.vertex_mask & ~g.vertex_mask)
+        if size is None:
+            assert least > k and out.decision == "no", (problem, n, m, seed, k)
+        else:
+            assert least == size, (problem, n, m, seed, k)
             assert out.decision == "yes" and len(out.certificate) == size, (problem, n, m, seed, k)
             assert valid(mask_of(out.certificate))
 

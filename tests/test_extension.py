@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from conftest import (
     graphs,
     path,
     random_graph,
+    search_min_ifvs,
 )
 from ifvs import (
     Graph,
@@ -30,15 +32,18 @@ from ifvs import (
     mask_of,
     min_ifvs_given_fvs,
     root_forest,
+    solve_fvs,
+    solve_ifvs,
+    subdivide,
 )
 from ifvs.extension import (
+    Candidate,
     _admit,
     _compute_tables,
     _cost,
     _degree_bound,
     _deleted,
     _fallback_search,
-    _find_cycle,
     _iter_subsets,
     _link_rows,
     _run_dp,
@@ -378,19 +383,10 @@ def graphs_with_subset(draw, max_n: int = 10):
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_subset())
-def test_incremental_strip_and_find_cycle(case):
+def test_incremental_strip(case):
     g, live = case
     core = _two_core(g, live)
     assert _strip(g.adj, live, live) == core
-    cycle = _find_cycle(g, core)
-    if not core:
-        assert cycle is None
-    else:
-        assert cycle is not None and len(cycle) >= 3
-        assert len(set(cycle)) == len(cycle)
-        assert mask_of(cycle) & ~core == 0
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            assert g.adj[a] >> b & 1
     # deleting one core vertex: re-stripping from its neighbours is exact
     for v in bits(core):
         rest = core & ~(1 << v)
@@ -411,22 +407,59 @@ def _fvs_corpus(seed, count):
 def test_per_candidate_exactness():
     # the raw tables may under-count (never over-count); one level of the
     # exact search finds nothing below the true per-candidate minimum e,
-    # and a valid extension of exactly e vertices at level e
+    # and a valid extension of exactly e vertices at level e.  Each graph
+    # is scanned plain and under a random undeletable mask outside f, as
+    # FVS solves run the search only under such a mask
+    rng = random.Random(98)
     for g, f in _fvs_corpus(99, 80):
         forest = root_forest(g, f)
-        for cand in enumerate_candidates(g, f):
-            true_min = _min_extension(g, f, cand.fvs_part)
-            raw_cost, _, _ = _run_dp(g, forest, cand)
-            if true_min is None:
-                deletable = (g.vertex_mask & ~(f | cand.forbidden)).bit_count()
-                assert _fallback_search(g, cand, deletable)[0] is None
-                continue
-            assert raw_cost <= true_min
-            if true_min:
-                assert _fallback_search(g, cand, true_min - 1)[0] is None
-            ext, _ = _fallback_search(g, cand, true_min)
-            assert ext is not None and ext.bit_count() == true_min
-            assert g.is_ifvs(cand.fvs_part | ext)
+        u = mask_of(v for v in bits(g.vertex_mask & ~f) if rng.random() < 0.3)
+        for mask in (0, u):
+            for cand in enumerate_candidates(g, f, undeletable=mask):
+                true_min = _min_extension(g, f | mask, cand.fvs_part)
+                raw_cost, _, _ = _run_dp(g, forest, cand)
+                if true_min is None:
+                    deletable = (g.vertex_mask & ~(f | cand.forbidden)).bit_count()
+                    assert _fallback_search(g, cand, deletable)[0] is None
+                    continue
+                assert raw_cost <= true_min
+                if true_min:
+                    assert _fallback_search(g, cand, true_min - 1)[0] is None
+                ext, _ = _fallback_search(g, cand, true_min)
+                assert ext is not None and ext.bit_count() == true_min
+                assert g.is_ifvs(cand.fvs_part | ext) and not ext & mask
+
+
+def test_search_alone_matches_the_oracles():
+    # search_min_ifvs first agrees with brute force, then with the
+    # solver's certificate sizes on graphs past the brute-force limit,
+    # for IFVS and, through the subdivision, for FVS
+    for g, _ in _fvs_corpus(97, 80):
+        best = brute_min_ifvs(g)
+        assert search_min_ifvs(g) == (None if best is None else best[0]), g.edges
+    rng = random.Random(96)
+    for seed in range(40):
+        n = rng.randint(30, 60)
+        g = generate(n, rng.randint(n, n * 7 // 5), seed)
+        out = solve_ifvs(g, g.n)
+        least = search_min_ifvs(g)
+        assert least == (None if out.certificate is None else len(out.certificate)), (n, seed)
+        sub = subdivide(g)
+        least = search_min_ifvs(sub, sub.vertex_mask & ~g.vertex_mask)
+        assert least == len(solve_fvs(g, g.n).certificate), (n, seed)
+
+
+def test_a_deep_keep_chain_does_not_recurse():
+    # the keep branch is a loop: on a long cycle whose every deletion
+    # leaves a triangle with no deletable vertex, the search keeps one
+    # cycle vertex after another without growing the stack
+    length = sys.getrecursionlimit() + 50
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    edges += [(length, length + 1), (length + 1, length + 2), (length + 2, length)]
+    g = Graph(length + 3, edges)
+    cand = Candidate(0, 0, 0, (), forbidden=mask_of(range(length, length + 3)), fvs=0)
+    ext, tests = _fallback_search(g, cand, 2)
+    assert ext is None and tests > length
 
 
 def test_extension_reaches_the_exact_minimum():

@@ -91,6 +91,22 @@ def test_parse_spec_rejects_rows_the_solver_rejects(text, message):
         parse_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a first field with a digit of any script is data, not a header
+        ("+5,4,1,1\n6,5,1,1\n", 1),
+        ("1_0,4,1,1\n6,5,1,1\n", 1),
+        ("\u0665,4,1,1\n", 1),  # ARABIC-INDIC DIGIT FIVE
+        ("5,4,1,1\n5,4,+1,1\n", 2),
+    ],
+)
+def test_parse_spec_takes_only_ascii_integers(text, line):
+    # int() alone would take a sign, underscores and any script's digits
+    with pytest.raises(ValueError, match=f"spec line {line}: non-integer field"):
+        parse_spec(text)
+
+
 def test_run_bench_shapes():
     records = run_bench([(8, 8, 2, 2), (6, 5, 1, 1)], seed=3)
     assert len(records) == 3
