@@ -168,9 +168,11 @@ def solve_ifvs(
     solution may hold no vertex of the mask ``undeletable``; each prefix
     optimum then avoids it too, and still bounds the next from below.
     Vertices are inserted in input order, or in an order that ``seed``
-    shuffles reproducibly.  ``threads`` has no effect; it is kept only
-    because the committed benchmark runner, ``perfbench/run.py``, passes
-    ``threads=1``.
+    shuffles reproducibly.  ``trace`` names vertices by insertion
+    position, so a shuffled order is written to it first, as one
+    ``order:`` line of the input id at each position.  ``threads`` has
+    no effect; it is kept only because the committed benchmark runner,
+    ``perfbench/run.py``, passes ``threads=1``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -179,6 +181,8 @@ def solve_ifvs(
     order = list(range(g.n))
     if seed is not None:
         random.Random(seed).shuffle(order)
+        if trace is not None and order != sorted(order):
+            trace.write("order: " + " ".join(map(str, order)) + "\n")
     h = _relabel(g, order)
     # the undeletable vertices by insertion position; a prefix gets its slice
     blocked = mask_of(i for i, v in enumerate(order) if undeletable >> v & 1) if undeletable else 0

@@ -117,16 +117,22 @@ def root_forest(g: Graph, f: int) -> RootedForest:
             if nb & seen:
                 raise NotAForestError("deleting the given set leaves a cycle")
             seen |= nb
-            kids = tuple(bits(nb))
-            for u in kids:
+            kids = []
+            while nb:
+                low = nb & -nb
+                u = low.bit_length() - 1
                 parent[u] = v
-            children[v] = kids
+                kids.append(u)
+                nb ^= low
+            children[v] = tuple(kids)
             order.extend(kids)
         rest = remaining & ~seen
     mark = [0] * g.n
-    # a stable sort by descending degree keeps equal degrees in id order
-    for i, v in enumerate(sorted(sorted(order), key=lambda v: adj[v].bit_count(), reverse=True)):
-        mark[v] = 1 << i
+    # one integer key per vertex: descending degree, then ascending id
+    w = g.n.bit_length()
+    low_bits = (1 << w) - 1
+    for i, key in enumerate(sorted([-adj[v].bit_count() << w | v for v in order])):
+        mark[key & low_bits] = 1 << i
     return RootedForest(tuple(roots), parent, children, tuple(order), tuple(mark))
 
 

@@ -97,16 +97,22 @@ class Graph:
         """Subgraph induced on ``vs``, densely re-indexed.
 
         Returns ``(subgraph, old_ids)`` where new vertex ``i`` corresponds
-        to ``old_ids[i]`` (ascending).
+        to ``old_ids[i]`` (ascending).  The ids keep their order, so the
+        subgraph of a simple graph is simple and is built unchecked.
         """
         old_ids = tuple(bits(vs))
         index = {v: i for i, v in enumerate(old_ids)}
-        sub_edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if vs >> u & 1 and vs >> v & 1
-        ]
-        return Graph(len(old_ids), sub_edges), old_ids
+        adj = [0] * len(old_ids)
+        sub_edges = []
+        for u, v in self.edges:
+            if vs >> u & 1 and vs >> v & 1:
+                a, b = index[u], index[v]
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                sub_edges.append((a, b))
+        # a graph made by trusted may keep its edges in another order
+        sub_edges.sort()
+        return Graph.trusted(tuple(adj), tuple(sub_edges)), old_ids
 
     def components_within(self, vs: int) -> list[int]:
         """Connected components of the subgraph induced on ``vs``.

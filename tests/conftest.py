@@ -66,6 +66,29 @@ def random_graph(rng: random.Random, n_max: int = 12, m_cap: int | None = None) 
     return Graph(n, rng.sample(pairs, m))
 
 
+def hang_trees(g: Graph, rng: random.Random, leaves: int, isolated: int) -> Graph:
+    """``g`` with ``leaves`` tree vertices and ``isolated`` lone ones added.
+
+    Each tree vertex hangs off a random earlier vertex, so the new
+    vertices lie on no cycle.  All labels are shuffled.
+    """
+    n = g.n + leaves + isolated
+    edges = list(g.edges) + [(rng.randrange(v), v) for v in range(max(g.n, 1), g.n + leaves)]
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def two_core(g: Graph) -> set[int]:
+    """The vertices left after deleting degree-<=1 vertices until none is left."""
+    core = set(range(g.n))
+    while True:
+        low = {v for v in core if sum(g.adj[v] >> u & 1 for u in core) <= 1}
+        if not low:
+            return core
+        core -= low
+
+
 def search_min_ifvs(g: Graph, undeletable: int = 0) -> int | None:
     """Least size of an IFVS of ``g`` that avoids ``undeletable``, or None.
 

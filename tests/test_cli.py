@@ -143,6 +143,49 @@ def test_trace_writes_one_line_per_subset_per_call():
     assert proc.stderr.count("fallback(tests=") == report["stats"]["fallbacks"] > 0
 
 
+BOWTIE_EDGELIST = "5 6\n0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n"
+
+
+def test_seeded_trace_maps_positions_through_its_order_line():
+    # the trace names vertices by insertion position; its first line maps
+    # each position to its input id, which gives the certificate
+    proc = run_cli("ifvs", "--k", "2", "--trace", "--seed", "7", stdin=BOWTIE_EDGELIST)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("order: ")
+    order = [int(v) for v in lines[0].split()[1:]]
+    assert sorted(order) == list(range(5))
+    last_call = proc.stderr.split("forest nodes")[-1].splitlines()
+    winners = [
+        line
+        for line in last_call
+        if line.startswith("candidate {") and "dp_cost=0 " in line and "pruned" not in line
+    ]
+    members = winners[-1].split()[1].strip("{}").split(",")
+    certificate = sorted(order[int(p)] for p in members)
+    assert f"certificate ({len(certificate)}): {' '.join(map(str, certificate))}" in proc.stdout
+    plain = run_cli("ifvs", "--k", "2", "--trace", stdin=BOWTIE_EDGELIST)
+    assert "order:" not in plain.stderr
+
+
+def test_fvs_kernel_line_lists_the_two_core():
+    # a triangle 2-3-4 with the path 0-1-2 hung off it, a pendant 5 on 3
+    # and an isolated 6: only the triangle is solved
+    text = "7 6\n0 1\n1 2\n2 3\n3 4\n4 2\n3 5\n"
+    for flag in ("--trace", "-v"):
+        proc = run_cli("fvs", "--k", "1", "--json", flag, stdin=text)
+        assert proc.returncode == 0
+        kernel = [line for line in proc.stderr.splitlines() if line.startswith("kernel:")]
+        assert kernel == ["kernel: 3 of 7 vertices, 3 of 6 edges: 2 3 4"]
+        report = json.loads(proc.stdout)
+        assert len(report["certificate"]) == 1 and report["certificate"][0] in (2, 3, 4)
+        # the steps count the subdivided kernel's 3 + 3 vertices
+        assert max(s["prefix"] for s in report["steps"]) == 6
+    proc = run_cli("fvs", "--k", "0", "--trace", stdin=P4_DIMACS)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[0] == "kernel: 0 of 4 vertices, 0 of 3 edges:"
+
+
 def test_json_certificate_revalidates(tmp_path):
     from ifvs import load_graph, mask_of
 

@@ -259,6 +259,7 @@ HARD_PROBE_OPTIMA = {
     ("fvs", (40, 80, 1), 40): 9,
     ("fvs", (60, 90, 1), 60): 10,
     ("ifvs", (80, 120, 2), 80): 13,
+    ("fvs", (100, 120, 1), 100): 8,
 }
 
 

@@ -9,6 +9,7 @@ holds two, so these draws exercise the later-child merges.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hang_trees, two_core
 from ifvs import Graph, solve_fvs, solve_ifvs, subdivide
 
 
@@ -82,3 +83,16 @@ def test_subdividing_again_keeps_the_fvs_optimum(g):
     sub = subdivide(g)
     once, twice = solve_fvs(g, g.n), solve_fvs(sub, sub.n)
     assert len(once.certificate) == len(twice.certificate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_graphs(), st.integers(0, 8), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_pendant_trees_and_isolated_vertices_keep_the_fvs_optimum(g, leaves, isolated, rng):
+    # vertices on no cycle leave before the solve, so the optimum stays
+    # and the certificate holds only vertices of the 2-core
+    big = hang_trees(g, rng, leaves, isolated)
+    want = solve_fvs(g, g.n)
+    out = solve_fvs(big, big.n)
+    assert out.decision == want.decision == "yes"
+    assert len(out.certificate) == len(want.certificate)
+    assert set(out.certificate) <= two_core(big)

@@ -1,14 +1,18 @@
 import random
 
-from conftest import cycle, path, petersen, random_graph
+import pytest
+
+from conftest import cycle, hang_trees, path, petersen, random_graph, star, two_core
 from ifvs import (
     Graph,
+    bits,
     brute_min_fvs,
     brute_min_ifvs,
     mask_of,
     solve_fvs,
     subdivide,
 )
+from ifvs.compression import _relabel
 
 
 def test_subdivide_triangle_is_c6():
@@ -87,8 +91,8 @@ def test_solve_fvs_matches_oracle_random():
 
 
 def test_fvs_certificates_hold_original_vertices_only():
-    # subdivision vertices are undeletable, so a certificate needs no
-    # mapping: it is a minimum FVS of g and an IFVS of the subdivision
+    # subdivision vertices are undeletable, so a certificate holds only
+    # vertices of g: it is a minimum FVS of g and an IFVS of the subdivision
     rng = random.Random(54)
     for _ in range(60):
         g = random_graph(rng, n_max=9)
@@ -99,3 +103,65 @@ def test_fvs_certificates_hold_original_vertices_only():
             assert set(out.certificate) <= set(range(g.n))
             assert len(out.certificate) == brute_min_fvs(g)[0]
             assert sub.is_ifvs(mask_of(out.certificate))
+
+
+def test_subdivide_and_induced_subgraph_match_the_checked_constructor():
+    # both build their results unchecked; each must equal the graph the
+    # checking constructor gives, edge order included
+    rng = random.Random(55)
+    for _ in range(100):
+        g = random_graph(rng, n_max=10)
+        pairs = []
+        for i, (u, v) in enumerate(g.edges):
+            pairs += [(u, g.n + i), (g.n + i, v)]
+        checked = Graph(g.n + g.m, pairs)
+        sub = subdivide(g)
+        assert sub == checked and sub.edges == checked.edges
+        assert (sub.n, sub.m) == (checked.n, checked.m)
+        # a relabelled graph keeps its edges sorted by later endpoint
+        order = list(range(g.n))
+        rng.shuffle(order)
+        for source in (g, _relabel(g, order)):
+            vs = rng.randrange(1 << g.n)
+            part, ids = source.induced_subgraph(vs)
+            assert ids == tuple(bits(vs))
+            index = {v: i for i, v in enumerate(ids)}
+            checked = Graph(
+                len(ids),
+                [(index[u], index[v]) for u, v in source.edges if u in index and v in index],
+            )
+            assert part == checked and part.edges == checked.edges
+            assert (part.n, part.m) == (checked.n, checked.m)
+
+
+def test_solve_fvs_on_forests():
+    rng = random.Random(56)
+    tree = hang_trees(Graph(1), rng, 7, 0)
+    for g in (Graph(0), Graph(4), path(6), star(5), tree):
+        out = solve_fvs(g, 0)
+        assert out.decision == "yes" and out.certificate == ()
+        with pytest.raises(ValueError):
+            solve_fvs(g, -1)
+    with pytest.raises(ValueError):
+        solve_fvs(cycle(3), -1)
+
+
+def test_solve_fvs_matches_oracle_with_pendant_trees():
+    # vertices on no cycle are peeled before the solve: the decision is
+    # the oracle's, and every certificate holds 2-core vertices only
+    rng = random.Random(57)
+    for _ in range(40):
+        g = random_graph(rng, n_max=8)
+        leaves = rng.randint(0, 14 - g.n)
+        g = hang_trees(g, rng, leaves, rng.randint(0, min(2, 14 - g.n - leaves)))
+        fvs_size, _ = brute_min_fvs(g)
+        core = two_core(g)
+        for seed in (None, 5):
+            for k in (0, 1, 2, 3):
+                out = solve_fvs(g, k, seed=seed)
+                assert (out.decision == "yes") == (fvs_size <= k)
+                if out.decision == "yes":
+                    assert g.is_fvs(mask_of(out.certificate))
+                    assert len(out.certificate) <= k
+                    assert set(out.certificate) <= core
+                    assert list(out.certificate) == sorted(out.certificate)

@@ -9,11 +9,12 @@ and prints one line per probe: the problem, graph and budget, then the
 decision, the certificate's size and the certificate, every
 ``SolveStats`` counter and the ``time.process_time`` seconds of the
 solve.  The probes are random graphs with a seed FVS well past the
-benchmark's, where the DP and the exact fallback search carry the time.
-They take a few seconds in all (about 3.5 s of CPU on 2 cores with
-CPython 3.11); compare the counters first, since CPU time is noisy on a
-shared machine.  ``tests/test_compression.py`` pins each probe's
-decision and optimum size.
+benchmark's, where the DP and the exact fallback search carry the time;
+the last one has 38 of its 100 vertices on no cycle, which ``solve_fvs``
+peels before it solves.  They take a few seconds in all (about 3.7 s of
+CPU on 2 cores with CPython 3.11); compare the counters first, since CPU
+time is noisy on a shared machine.  ``tests/test_compression.py`` pins
+each probe's decision and optimum size.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ PROBES = (
     ("fvs", (40, 80, 1), 40),
     ("fvs", (60, 90, 1), 60),
     ("ifvs", (80, 120, 2), 80),
+    ("fvs", (100, 120, 1), 100),
 )
 
 
