@@ -6,9 +6,9 @@ feedback vertex set, and produces a certificate when one exists.  Plain
 feedback vertex set instances are handled through the edge-subdivision
 reduction.  Brute-force oracles back the differential test suite.
 
-Result and helper types (``SolveOutcome``, ``ExtensionOutcome``,
-``Candidate``, ``DpTables``, ``RootedForest``, ...) are importable
-from their modules.  The records among them are named tuples
+Result and helper types (``SolveOutcome``, ``StepRecord``,
+``ExtensionOutcome``, ``Candidate``, ...) are importable from their
+modules.  The records among them are named tuples
 (``_fields``, ``_asdict()``), and the counters ``SolveStats`` and
 ``ExtensionStats`` are slotted classes.
 """
@@ -16,10 +16,8 @@ from their modules.  The records among them are named tuples
 from .compression import solve_ifvs
 from .extension import (
     INFEASIBLE,
-    NotAForestError,
     NotAnFvsError,
     min_ifvs_given_fvs,
-    root_forest,
 )
 from .generator import generate
 from .graph import Graph, GraphError, bits, mask_of
@@ -38,7 +36,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "INFEASIBLE",
-    "NotAForestError",
     "NotAnFvsError",
     "ParseError",
     "TooLargeError",
@@ -53,7 +50,6 @@ __all__ = [
     "min_ifvs_given_fvs",
     "parse_dimacs",
     "parse_edgelist",
-    "root_forest",
     "solve_fvs",
     "solve_ifvs",
     "subdivide",

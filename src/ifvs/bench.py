@@ -3,10 +3,7 @@
 A row holds the instance shape, the decision, the certificate size, the
 solve's own ``ms`` and every counter in
 :data:`ifvs.compression.COUNTERS`, read from the solve's ``SolveStats``;
-a counter added there becomes a new last column with no edit here.  The
-derived ``ratio`` column divides the DP evaluation count by
-``4 ** f_max * n``, the budget the per-call work bound allows, so growth
-against that bound is visible directly in the table.
+a counter added there becomes a new last column with no edit here.
 """
 
 from __future__ import annotations
@@ -18,12 +15,12 @@ from .io import _number
 
 # later columns are appended, so readers that index by position keep working
 _FIRST_COLUMNS = (
-    "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio,"
+    "n,m,k,decision,cert_size,ms,candidates,"
     "fallbacks,fallback_tests,pruned,skipped,bound_pruned"
 ).split(",")
 COLUMNS = tuple(_FIRST_COLUMNS + [name for name in COUNTERS if name not in _FIRST_COLUMNS])
 CSV_HEADER = ",".join(COLUMNS)
-_FORMATS = {"ms": ".3f", "ratio": ".6f"}
+_FORMATS = {"ms": ".3f"}
 
 DECISION_LABELS = {"yes": "yes", "no": "no-within-k", "absent": "no-ifvs-exists"}
 
@@ -77,7 +74,6 @@ def _measure(g: Graph, k: int) -> dict[str, object]:
         k=k,
         decision=DECISION_LABELS[outcome.decision],
         cert_size=-1 if outcome.certificate is None else len(outcome.certificate),
-        ratio=stats.dp_cells / ((4 ** stats.f_max) * max(g.n, 1)),
         ms=stats.ms,
     )
     return row

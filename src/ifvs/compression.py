@@ -41,11 +41,10 @@ class StepRecord(NamedTuple):
     fvs_size: int  # size of the FVS handed to the extension stage (0: skipped)
     min_ifvs: int | None  # prefix optimum (None: no solution exists)
     candidates: int = 0
-    dp_cells: int = 0
-    fallbacks: int = 0
-    fallback_tests: int = 0  # search nodes of those fallback searches
+    fallbacks: int = 0  # candidates whose exact search ran
+    fallback_tests: int = 0  # search nodes of those searches
     pruned: int = 0  # candidates the extension stage pruned
-    bound_pruned: int = 0  # of those, pruned by the degree bound before any DP
+    bound_pruned: int = 0  # of those, pruned by their key before any search level
     skipped: bool = False  # no cycle closed, the old optimum carried over
 
 
@@ -58,11 +57,10 @@ class SolveStats:
 
     __slots__ = (
         "candidates",
-        "dp_cells",
         "fallbacks",
         "fallback_tests",
         "pruned",
-        "bound_pruned",  # pruned candidates whose DP never ran, by the degree bound
+        "bound_pruned",  # pruned candidates whose search never ran
         "skipped",  # steps that closed no cycle and ran no extension
         "ms",
         "f_max",  # largest FVS handed to the extension stage
@@ -70,7 +68,7 @@ class SolveStats:
     )
 
     def __init__(self) -> None:
-        self.candidates = self.dp_cells = self.fallbacks = self.fallback_tests = 0
+        self.candidates = self.fallbacks = self.fallback_tests = 0
         self.pruned = self.bound_pruned = self.skipped = self.f_max = 0
         self.ms = 0.0
         self.steps: list[StepRecord] = []
@@ -223,7 +221,6 @@ def solve_ifvs(
             fvs_size=fvs_input.bit_count(),
             min_ifvs=outcome.size,
             candidates=ext.candidates_scanned,
-            dp_cells=ext.dp_cells,
             fallbacks=ext.fallbacks,
             fallback_tests=ext.fallback_tests,
             pruned=ext.pruned,

@@ -141,7 +141,7 @@ class Graph:
     def is_forest_within(self, vs: int) -> bool:
         """True iff the subgraph induced on ``vs`` is acyclic."""
         # inline union-find with path halving; this is the hottest
-        # primitive in the oracles and the exact fallback search
+        # primitive in the oracles and the certificate checks
         parent = list(range(self.n))
         for u, v in self.edges:
             if vs >> u & 1 and vs >> v & 1:

@@ -140,10 +140,9 @@ def parse_dimacs(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", idx, raw)

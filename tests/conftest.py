@@ -94,10 +94,10 @@ def search_min_ifvs(g: Graph, undeletable: int = 0) -> int | None:
 
     Runs the extension's exact search alone, on the empty candidate with
     ``undeletable`` forbidden, at budgets 0, 1, 2, ... until one finds an
-    extension.  No DP, queue or compression step takes part, so this is
-    an oracle for graphs past the brute-force limit.
+    extension.  No candidate scan, queue or compression step takes part,
+    so this is an oracle for graphs past the brute-force limit.
     """
-    cand = Candidate(0, 0, 0, (), forbidden=undeletable, fvs=0)
+    cand = Candidate(0, 0, forbidden=undeletable, fvs=0)
     for budget in range((g.vertex_mask & ~undeletable).bit_count() + 1):
         ext, _ = _fallback_search(g, cand, budget)
         if ext is not None:
@@ -115,8 +115,10 @@ def graphs(draw, max_n: int = 12, max_m: int = 24) -> Graph:
     return Graph(n, chosen)
 
 
-# smallest instances on which per-tree table optima assemble into an
-# invalid certificate, exercising the validity gate and fallback
+# smallest instances on which two kept regions close a cycle through one
+# pair of components of the fvs's undeleted part, which a dynamic program
+# over the forest keyed by component subsets cannot see; they stay as
+# oracle fixtures for the exact search
 def gate_cross_tree() -> tuple[Graph, int]:
     # C_4 with the FVS on opposite corners: both one-vertex trees link
     # both components
@@ -137,9 +139,9 @@ def gate_forced_fallback() -> tuple[Graph, int]:
 
 def gate_fallback_wins() -> tuple[Graph, int]:
     # choosing 2 keeps its forest neighbours 0, 3 and 6; the one-vertex
-    # trees 5 and 6 both link components {1} and {4}, so the DP's
-    # certificate closes 1-5-4-6, and only the fallback's deletion of 5
-    # reaches the optimum 2, which no other candidate attains
+    # trees 5 and 6 both link components {1} and {4}, so keeping both
+    # closes 1-5-4-6, and only deleting 5 reaches the optimum 2, which no
+    # other candidate attains
     from ifvs import mask_of
 
     g = Graph(
@@ -150,10 +152,9 @@ def gate_fallback_wins() -> tuple[Graph, int]:
 
 
 def gate_fallback_tie() -> tuple[Graph, int]:
-    # only the choices {0} and {5} admit an extension; the DP's
-    # certificate fails the gate for both, {5}'s DP value 1 is below
-    # {0}'s 2, and both need 3 forest deletions, so the two searches
-    # reach the optimum 4 at the same level
+    # only the choices {0} and {5} admit an extension, and both need 3
+    # forest deletions, so the two searches reach the optimum 4 at the
+    # same key
     from ifvs import mask_of
 
     g = Graph(

@@ -30,7 +30,7 @@ def test_yes_instance_exit_zero(tmp_path):
     report = json.loads(proc.stdout)
     assert report["decision"] == "yes"
     assert len(report["certificate"]) == 1
-    assert report["stats"]["dp_cells"] > 0
+    assert report["stats"]["fallback_tests"] > 0
     assert "ms" in report["stats"]
 
 
@@ -122,25 +122,27 @@ def test_text_and_json_agree():
 def test_trace_goes_to_stderr():
     proc = run_cli("ifvs", "--k", "1", "--trace", stdin=C4_EDGELIST)
     assert proc.returncode == 0
-    assert "forest nodes" in proc.stderr and "candidate {" in proc.stderr
-    assert "forest nodes" not in proc.stdout
+    assert "extension: " in proc.stderr and "candidate {" in proc.stderr
+    assert "extension: " not in proc.stdout
 
 
 def test_trace_writes_one_line_per_subset_per_call():
     from ifvs import format_edgelist, generate
 
-    # generate(8, 12, 1) at k=8 runs three exact fallbacks, whose
+    # generate(8, 12, 1) at k=8 runs three exact searches, whose
     # candidates are traced when their search ends
     text = format_edgelist(generate(8, 12, 1))
     proc = run_cli("ifvs", "--k", "8", "--json", "--no-timing", "--trace", stdin=text)
     report = json.loads(proc.stdout)
-    calls = proc.stderr.split("forest nodes")[1:]
+    calls = proc.stderr.split("extension: ")[1:]
     steps = [s for s in report["steps"] if not s["skipped"]]
     assert len(calls) == len(steps)
     for call, step in zip(calls, steps):
         subsets = [line.split()[1] for line in call.splitlines() if line.startswith("candidate {")]
         assert len(subsets) == len(set(subsets)) == step["candidates"] == 2 ** step["fvs_size"]
-    assert proc.stderr.count("fallback(tests=") == report["stats"]["fallbacks"] > 0
+    searched = [line for line in proc.stderr.splitlines() if " nodes=" in line]
+    searched = [line for line in searched if " nodes=0 " not in line]
+    assert len(searched) == report["stats"]["fallbacks"] > 0
 
 
 BOWTIE_EDGELIST = "5 6\n0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n"
@@ -155,12 +157,8 @@ def test_seeded_trace_maps_positions_through_its_order_line():
     assert lines[0].startswith("order: ")
     order = [int(v) for v in lines[0].split()[1:]]
     assert sorted(order) == list(range(5))
-    last_call = proc.stderr.split("forest nodes")[-1].splitlines()
-    winners = [
-        line
-        for line in last_call
-        if line.startswith("candidate {") and "dp_cost=0 " in line and "pruned" not in line
-    ]
+    last_call = proc.stderr.split("extension: ")[-1].splitlines()
+    winners = [line for line in last_call if line.startswith("candidate {") and " found" in line]
     members = winners[-1].split()[1].strip("{}").split(",")
     certificate = sorted(order[int(p)] for p in members)
     assert f"certificate ({len(certificate)}): {' '.join(map(str, certificate))}" in proc.stdout
@@ -198,7 +196,7 @@ def test_json_certificate_revalidates(tmp_path):
 def test_fallback_counters_are_reported():
     from ifvs import format_edgelist, generate
 
-    # generate(8, 12, 1) sends three candidates to the exact fallback
+    # generate(8, 12, 1) sends three candidates to the exact search
     text = format_edgelist(generate(8, 12, 1))
     proc = run_cli("ifvs", "--k", "8", "--json", "-v", stdin=text)
     assert proc.returncode == 0
@@ -222,14 +220,15 @@ def test_fallback_counters_are_reported():
 def test_bound_pruned_counter_is_reported():
     from ifvs import format_edgelist, generate
 
-    # generate(8, 12, 1) prunes six candidates by the degree bound (three
-    # when the bound was a disjoint-cycle packing)
+    # generate(8, 12, 1) prunes eight candidates by their keys, before any
+    # search level (six by the degree bound when a dynamic program decided
+    # candidates, three when the bound was a disjoint-cycle packing)
     text = format_edgelist(generate(8, 12, 1))
     proc = run_cli("ifvs", "--k", "8", "--json", "-v", "--trace", stdin=text)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     stats, steps = report["stats"], report["steps"]
-    assert stats["bound_pruned"] == sum(s["bound_pruned"] for s in steps) == 6
+    assert stats["bound_pruned"] == sum(s["bound_pruned"] for s in steps) == 8
     assert stats["bound_pruned"] <= stats["pruned"]
     assert all(s["bound_pruned"] <= s["pruned"] for s in steps)
     assert all(
@@ -237,9 +236,9 @@ def test_bound_pruned_counter_is_reported():
         for s in steps
         if not s["skipped"]
     )
-    assert proc.stderr.count("pruned (bound=") == 6
+    assert proc.stderr.count(" nodes=0 pruned") == 8
     plain = run_cli("ifvs", "--k", "8", "--no-timing", stdin=text)
-    assert f"pruned: {stats['pruned']}  bound_pruned: 6  " in plain.stdout
+    assert f"pruned: {stats['pruned']}  bound_pruned: 8  " in plain.stdout
 
 
 def test_gen_is_deterministic_and_forced():
@@ -294,7 +293,7 @@ def test_bench_subcommand(tmp_path):
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == (
-        "n,m,k,decision,cert_size,ms,candidates,dp_cells,ratio,"
+        "n,m,k,decision,cert_size,ms,candidates,"
         "fallbacks,fallback_tests,pruned,skipped,bound_pruned"
     )
     assert len(lines) == 3

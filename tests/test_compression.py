@@ -138,7 +138,7 @@ def test_insertion_order_does_not_change_the_decision():
 def test_stats_are_populated():
     out = solve_ifvs(cycle(5), 1)
     assert out.stats.candidates > 0
-    assert out.stats.dp_cells > 0
+    assert out.stats.fallback_tests >= out.stats.fallbacks > 0
     assert out.stats.ms >= 0
     assert out.stats.f_max >= 1
     assert len(out.stats.steps) == 3  # prefixes of size 3, 4, 5
@@ -157,7 +157,7 @@ def test_only_cycle_closing_steps_run_the_extension():
             assert out.stats.skipped == len(out.stats.steps) - 3 == n - 5
             for step in out.stats.steps:
                 if step.skipped:
-                    assert step.candidates == step.dp_cells == step.fallbacks == 0
+                    assert step.candidates == step.fallbacks == step.fallback_tests == 0
 
     # a hub over three edges, then a path whose vertices all touch the hub:
     # once the hub is the optimum, the path closes no cycle without it
@@ -221,11 +221,14 @@ def test_probe_counters_are_pinned():
     # changed: (358, 24, 122,507) and certificate (0, 3, 16, 20, 37, 43)
     # before, with the same optimum size.  The degree bound replaced the
     # disjoint-cycle packing before the DP and began to cut the exact
-    # search's dead ends: (286, 27, 104,383) before, same certificate
+    # search's dead ends: (286, 27, 104,383) before, same certificate.
+    # Once the exact search decided every candidate, with no DP, the
+    # certificates of earlier steps moved again, and fallbacks counts
+    # every candidate whose search ran; fallback_tests replaces dp_cells
     out = solve_ifvs(generate(60, 75, 1), 60)
     stats = out.stats
-    assert (stats.candidates, stats.fallbacks, stats.dp_cells) == (286, 19, 97_268)
-    assert out.certificate == (0, 3, 16, 20, 37, 52)
+    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (126, 16, 79)
+    assert out.certificate == (0, 8, 16, 20, 51, 52)
 
 
 def test_fvs_probe_counters_are_pinned():
@@ -241,11 +244,14 @@ def test_fvs_probe_counters_are_pinned():
     # same certificate.  The degree bound, before the DP and at every
     # search node, then cut that to (671, 51, 224), again with the same
     # certificate.  Branching the search on one vertex, delete or keep,
-    # instead of on a cycle's vertices cut fallback_tests to the count
-    # below; the certificate and the other counters stayed the same
+    # instead of on a cycle's vertices cut fallback_tests to 178; the
+    # certificate and the other counters stayed the same.  Once the exact
+    # search decided every candidate, with no DP, every winning candidate
+    # ran a search and the intermediate certificates moved: (671, 51, 178)
+    # became the counts below, with the same final certificate
     out = solve_fvs(generate(30, 60, 1), 30)
     stats = out.stats
-    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (671, 51, 178)
+    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (799, 81, 487)
     assert out.certificate == (0, 4, 15, 19, 21, 25, 26)
 
 
@@ -266,8 +272,11 @@ HARD_PROBE_OPTIMA = {
 def test_hard_probes_keep_their_optima():
     # the brute-force oracles stop at 20 vertices, so each pinned size,
     # and each "no", is checked against the exact search run alone over
-    # the whole graph (search_min_ifvs), which shares no DP, queue or
-    # compression step with the solver
+    # the whole graph (search_min_ifvs).  The solver now decides every
+    # candidate with that same search, so the check shares the search
+    # with it, though not the candidate scan, the queue or the
+    # compression steps; the pinned sizes came from the solver when a
+    # dynamic program, not the search, decided its candidates
     tool = Path(__file__).resolve().parent.parent / "tools" / "hard_probes.py"
     for node in ast.parse(tool.read_text()).body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "PROBES":
@@ -292,10 +301,10 @@ def test_hard_probes_keep_their_optima():
 
 
 def test_planted_counters_are_pinned():
-    # one planted-long graph at its yes budget.  Once the first candidate
-    # sets the best total, every candidate whose removal leaves enough
-    # disjoint triangles to fill its gap is pruned by the degree bound
-    # before its DP; without a bound this graph costs 2,339 cells
+    # one planted-long graph at its yes budget.  Every candidate enters
+    # the queue at its size plus the degree bound of the triangles it
+    # leaves, so once the first candidate sets the best total, every
+    # other one is pruned before any search level
     stats = solve_ifvs(planted(96, 3, 1), 3).stats
-    assert (stats.candidates, stats.bound_pruned, stats.dp_cells) == (14, 8, 856)
+    assert (stats.candidates, stats.bound_pruned) == (14, 11)
     assert stats.bound_pruned == sum(s.bound_pruned for s in stats.steps)

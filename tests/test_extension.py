@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import sys
 
@@ -22,7 +21,6 @@ from conftest import (
 )
 from ifvs import (
     Graph,
-    INFEASIBLE,
     NotAnFvsError,
     bits,
     brute_min_fvs,
@@ -31,7 +29,6 @@ from ifvs import (
     generate,
     mask_of,
     min_ifvs_given_fvs,
-    root_forest,
     solve_fvs,
     solve_ifvs,
     subdivide,
@@ -39,16 +36,10 @@ from ifvs import (
 from ifvs.extension import (
     Candidate,
     _admit,
-    _compute_tables,
-    _cost,
     _degree_bound,
-    _deleted,
     _fallback_search,
     _iter_subsets,
-    _link_rows,
-    _run_dp,
     _strip,
-    direct_component_links,
     enumerate_candidates,
 )
 
@@ -85,65 +76,12 @@ def test_enumerate_requires_fvs():
         list(enumerate_candidates(cycle(4), 0))
 
 
-def test_direct_component_links():
-    g, f = gate_forced_fallback()
-    cand = _candidates(g, f)[0]  # empty choice: components {0,5} and {1}
-    assert cand.l == 2
-    # vertex 2 touches component {0,5} twice: keeping it closes a cycle
-    linked, doubled = direct_component_links(g, cand, 2)
-    assert linked == 0b01 and doubled
-    # vertex 3 touches both components once
-    linked, doubled = direct_component_links(g, cand, 3)
-    assert linked == 0b11 and not doubled
-    lonely = Graph(2, [])
-    c = _candidates(lonely, mask_of([0]))[0]
-    assert direct_component_links(lonely, c, 1) == (0, False)
-
-
-def test_run_dp_c4():
-    g = cycle(4)
-    f = mask_of([0])
-    forest = root_forest(g, f)
-    empty, single = _candidates(g, f)
-    cost, ext, _ = _run_dp(g, forest, empty)
-    # one deletion on the path 1-2-3; the degrees tie, so the tie-break
-    # rank deletes the lowest id
-    assert cost == 1 and ext == mask_of([1])
-    assert g.is_ifvs(empty.fvs_part | ext)
-    cost, ext, _ = _run_dp(g, forest, single)
-    assert cost == 0 and ext == 0
-    assert g.is_ifvs(single.fvs_part | ext)
-
-
-def test_run_dp_ties_delete_the_highest_degree():
-    # the four-cycle plus a pendant edge at 2: deleting 1, 2 or 3 breaks
-    # the cycle through 0, and the tie-break rank picks 2, of degree 3
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
-    f = mask_of([0])
-    empty = _candidates(g, f)[0]
-    cost, ext, _ = _run_dp(g, root_forest(g, f), empty)
-    assert cost == 1 and ext == mask_of([2])
-
-
-def test_run_dp_triangle_choice_inside_fvs():
-    g = cycle(3)
-    f = mask_of([0])
-    chosen = _candidates(g, f)[1]
-    assert chosen.fvs_part == mask_of([0])
-    cost, ext, _ = _run_dp(g, root_forest(g, f), chosen)
-    assert cost == 0 and ext == 0
-    assert g.is_ifvs(chosen.fvs_part | ext)
-
-
 def test_k4_all_candidates_infeasible():
     g = complete(4)
     f = mask_of([0, 1])
-    forest = root_forest(g, f)
     cands = _candidates(g, f)
     assert cands  # the empty choice is admissible here
     for cand in cands:
-        cost, ext, _ = _run_dp(g, forest, cand)
-        assert cost == INFEASIBLE and ext is None
         # a budget of every vertex leaves the search nothing to cut
         assert _fallback_search(g, cand, g.n)[0] is None
 
@@ -189,8 +127,8 @@ def test_repeated_calls_agree():
         again = min_ifvs_given_fvs(g, f)
         assert first.size == again.size
         assert first.certificate == again.certificate
-        assert first.stats.dp_cells == again.stats.dp_cells
         assert first.stats.fallbacks == again.stats.fallbacks
+        assert first.stats.fallback_tests == again.stats.fallback_tests
 
 
 def test_gate_fixtures_match_oracle():
@@ -202,6 +140,7 @@ def test_gate_fixtures_match_oracle():
 
 
 def test_gate_fires_on_cross_tree_and_forced_fixtures():
+    # the fixtures that once failed a validity gate are decided by the search
     g, f = gate_cross_tree()
     assert min_ifvs_given_fvs(g, f).stats.fallbacks >= 1
     g, f = gate_forced_fallback()
@@ -211,12 +150,9 @@ def test_gate_fires_on_cross_tree_and_forced_fixtures():
 def test_fallback_search_cost_cap():
     g, f = gate_forced_fallback()
     empty = _candidates(g, f)[0]
-    cost, ext, _ = _run_dp(g, root_forest(g, f), empty)
-    # the DP's certificate fails the gate, and the empty choice admits no
-    # extension at all for this instance
-    assert ext is not None and not g.is_ifvs(empty.fvs_part | ext)
+    # the empty choice admits no extension at all for this instance
     deletable = (g.vertex_mask & ~(f | empty.forbidden)).bit_count()
-    for budget in range(cost, deletable + 1):
+    for budget in range(deletable + 1):
         ext, tests = _fallback_search(g, empty, budget)
         assert ext is None and tests > 0
     # a zero budget tests the remaining graph once and cuts there
@@ -235,130 +171,6 @@ def test_reported_sizes_are_minimal():
             if g.is_ifvs(vs):
                 assert out.size is not None
                 assert vs.bit_count() >= out.size
-
-
-def test_component_free_candidates_cost_one_eval_per_node():
-    # with no components left, every node has a single one-split subset
-    g = path(4)
-    stats = min_ifvs_given_fvs(g, 0).stats
-    assert (stats.candidates_accepted, stats.max_l, stats.dp_cells) == (1, 0, 4)
-    (cand,) = enumerate_candidates(g, 0)
-    assert _run_dp(g, root_forest(g, 0), cand)[2].row_evals == (1, 1, 1, 1)
-
-
-def test_per_node_split_budget():
-    rng = random.Random(34)
-    for _ in range(150):
-        g = random_graph(rng, n_max=12)
-        _, fcert = brute_min_fvs(g)
-        f = mask_of(fcert)
-        forest = root_forest(g, f)
-        for cand in enumerate_candidates(g, f):
-            assert max(_run_dp(g, forest, cand)[2].row_evals, default=0) <= 3**cand.l
-
-
-def _cell_scope_checks(g, f, cand, tables):
-    """Every cell of every keep row is finite and decodes to a region that
-    reaches exactly its subset and stays acyclic together with those
-    components."""
-    comp_masks = cand.comp_masks
-    link, _ = _link_rows(g, cand)
-    for v in tables.forest.order:
-        wv = link[v]
-        for sv, val in tables.keep[v].items():
-            assert not math.isinf(_cost(tables.forest, val))
-            _check_keep_cell(g, cand, comp_masks, tables, v, sv, wv, val)
-
-
-def _subtree(forest, v):
-    """The mask of ``v`` and every vertex below it."""
-    covered = 0
-    stack = [v]
-    while stack:
-        c = stack.pop()
-        covered |= 1 << c
-        stack.extend(forest.children[c])
-    return covered
-
-
-def _check_keep_cell(g, cand, comp_masks, tables, v, sv, wv, val):
-    assert sv & wv == wv  # reachable subsets carry the direct links
-    forest = tables.forest
-    deleted = _deleted(forest, val)
-    subtree = _subtree(forest, v)
-    # the value's marks name deletions in v's subtree, v itself kept, and
-    # none of them next to another or to the chosen fvs part
-    assert deleted & ~subtree == 0 and not deleted >> v & 1
-    assert deleted.bit_count() == _cost(forest, val)
-    p = len(forest.order)
-    assert val == deleted.bit_count() << p | sum(forest.mark[u] for u in bits(deleted))
-    assert g.is_independent_set(deleted) and deleted & cand.forbidden == 0
-    region = next(c for c in g.components_within(subtree & ~deleted) if c >> v & 1)
-    attached = g.neighbors(region)
-    reached = {i for i, cm in enumerate(comp_masks) if attached & cm}
-    assert reached == set(bits(sv))
-    scope = region
-    for i in bits(sv):
-        scope |= comp_masks[i]
-    assert g.is_forest_within(scope)
-
-
-def test_keep_cell_semantics_small_corpus():
-    rng = random.Random(35)
-    done = 0
-    while done < 60:
-        g = random_graph(rng, n_max=8)
-        if g.n < 2:
-            continue
-        _, fcert = brute_min_fvs(g)
-        f = mask_of(fcert)
-        for cand in enumerate_candidates(g, f):
-            tables = _compute_tables(g, root_forest(g, f), cand)
-            _cell_scope_checks(g, f, cand, tables)
-        done += 1
-
-
-def test_keep_rows_infeasible_below_direct_links():
-    # subsets missing a directly linked component are never reachable, so
-    # no keep row stores one, and no row stores an infeasible value
-    rng = random.Random(36)
-    for _ in range(60):
-        g = random_graph(rng, n_max=9)
-        _, fcert = brute_min_fvs(g)
-        f = mask_of(fcert)
-        for cand in enumerate_candidates(g, f):
-            tables = _compute_tables(g, root_forest(g, f), cand)
-            link, _ = _link_rows(g, cand)
-            for v in tables.forest.order:
-                wv = link[v]
-                for sv, val in tables.keep[v].items():
-                    assert sv & wv == wv
-                    assert not math.isinf(_cost(tables.forest, val))
-                if cand.forbidden >> v & 1:
-                    assert math.isinf(_cost(tables.forest, tables.delete[v]))
-
-
-def test_link_rows_match_direct_component_links():
-    # the rows built once per candidate are the per-vertex reference, and
-    # a vertex with two edges into one component can never be kept
-    rng = random.Random(41)
-    doubled_seen = 0
-    for _ in range(120):
-        g = random_graph(rng, n_max=10)
-        _, fcert = brute_min_fvs(g)
-        f = mask_of(fcert) | mask_of(v for v in range(g.n) if rng.random() < 0.3)
-        for cand in enumerate_candidates(g, f):
-            link, doubled = _link_rows(g, cand)
-            tables = _compute_tables(g, root_forest(g, f), cand)
-            for v in tables.forest.order:
-                wv, dbl = direct_component_links(g, cand, v)
-                assert link[v] == wv
-                assert bool(doubled >> v & 1) == dbl
-                if dbl:
-                    doubled_seen += 1
-                    assert tables.keep[v] == {}
-            assert doubled & f == 0
-    assert doubled_seen > 0
 
 
 def _two_core(g, live):
@@ -405,24 +217,21 @@ def _fvs_corpus(seed, count):
 
 
 def test_per_candidate_exactness():
-    # the raw tables may under-count (never over-count); one level of the
-    # exact search finds nothing below the true per-candidate minimum e,
-    # and a valid extension of exactly e vertices at level e.  Each graph
-    # is scanned plain and under a random undeletable mask outside f, as
-    # FVS solves run the search only under such a mask
+    # one level of the exact search finds nothing below the true
+    # per-candidate minimum e, and a valid extension of exactly e vertices
+    # at level e.  Each graph is scanned plain and under a random
+    # undeletable mask outside f, as FVS solves run the search only under
+    # such a mask
     rng = random.Random(98)
     for g, f in _fvs_corpus(99, 80):
-        forest = root_forest(g, f)
         u = mask_of(v for v in bits(g.vertex_mask & ~f) if rng.random() < 0.3)
         for mask in (0, u):
             for cand in enumerate_candidates(g, f, undeletable=mask):
                 true_min = _min_extension(g, f | mask, cand.fvs_part)
-                raw_cost, _, _ = _run_dp(g, forest, cand)
                 if true_min is None:
                     deletable = (g.vertex_mask & ~(f | cand.forbidden)).bit_count()
                     assert _fallback_search(g, cand, deletable)[0] is None
                     continue
-                assert raw_cost <= true_min
                 if true_min:
                     assert _fallback_search(g, cand, true_min - 1)[0] is None
                 ext, _ = _fallback_search(g, cand, true_min)
@@ -457,15 +266,15 @@ def test_a_deep_keep_chain_does_not_recurse():
     edges = [(i, (i + 1) % length) for i in range(length)]
     edges += [(length, length + 1), (length + 1, length + 2), (length + 2, length)]
     g = Graph(length + 3, edges)
-    cand = Candidate(0, 0, 0, (), forbidden=mask_of(range(length, length + 3)), fvs=0)
+    cand = Candidate(0, 0, forbidden=mask_of(range(length, length + 3)), fvs=0)
     ext, tests = _fallback_search(g, cand, 2)
     assert ext is None and tests > length
 
 
 def test_extension_reaches_the_exact_minimum():
-    # whether a gate-passing DP or the exact search sets the best total,
-    # it is the brute-force optimum; only a fallback reaches it on
-    # gate_fallback_wins
+    # the best total the exact search sets is the brute-force optimum,
+    # also on the fixtures where two kept regions close a cycle through
+    # one component pair
     fixtures = [gate_cross_tree(), gate_forced_fallback(), gate_single_tree(), gate_fallback_wins()]
     for g, f in [*fixtures, *_fvs_corpus(99, 80)]:
         out = min_ifvs_given_fvs(g, f)
@@ -476,22 +285,24 @@ def test_extension_reaches_the_exact_minimum():
     assert min_ifvs_given_fvs(*gate_fallback_wins()).stats.fallbacks > 0
 
 
-def test_fallback_ties_go_to_the_lower_dp_value():
-    # search levels of equal bound leave the queue in DP-total order, so
-    # {5} wins the tie at the optimum though {0} comes first by (size,
-    # bitmask)
+def test_equal_keys_leave_in_size_then_bitmask_order():
+    # {0} and {5} both need 3 forest deletions, so both reach key 4, the
+    # optimum; at an equal key the lower bitmask leaves first and wins,
+    # and {5} is pruned after the levels it searched below 4
+    import io
+
     g, f = gate_fallback_tie()
-    forest = root_forest(g, f)
-    for members, dp in (([0], 2), ([5], 1)):
+    for members in ([0], [5]):
         cand = next(c for c in enumerate_candidates(g, f) if c.fvs_part == mask_of(members))
-        cost, ext, _ = _run_dp(g, forest, cand)
-        assert cost == dp and not g.is_ifvs(cand.fvs_part | ext)
         assert _fallback_search(g, cand, 2)[0] is None
         assert _fallback_search(g, cand, 3)[0].bit_count() == 3
-    out = min_ifvs_given_fvs(g, f)
+    sink = io.StringIO()
+    out = min_ifvs_given_fvs(g, f, trace=sink)
     assert out.size == brute_min_ifvs(g)[0] == 4
-    assert out.certificate == (1, 5, 7, 8)
-    assert out.stats.fallbacks == 2
+    assert out.certificate == (0, 1, 2, 4)
+    assert (out.stats.fallbacks, out.stats.pruned, out.stats.bound_pruned) == (2, 1, 0)
+    lines = sink.getvalue().splitlines()
+    assert lines[-2:] == ["candidate {0} key=4 nodes=4 found", "candidate {5} key=4 nodes=3 pruned"]
 
 
 def _grown_fvs_corpus(seed, count):
@@ -510,7 +321,6 @@ def test_counters_match_the_candidate_scan():
         cands = list(enumerate_candidates(g, f))
         assert stats.candidates_scanned == 2 ** f.bit_count()
         assert stats.candidates_accepted == len(cands)
-        assert stats.max_l == max((c.l for c in cands), default=0)
         assert stats.bound_pruned <= stats.pruned <= stats.candidates_accepted
         assert stats.fallbacks <= stats.candidates_accepted
 
@@ -558,15 +368,14 @@ def test_masked_counters_match_the_masked_candidate_scan():
         cands = list(enumerate_candidates(g, f, undeletable=u))
         assert stats.candidates_scanned == 2 ** (f & ~u).bit_count()
         assert stats.candidates_accepted == len(cands)
-        assert stats.max_l == max((c.l for c in cands), default=0)
         plain = [c for c in enumerate_candidates(g, f) if not c.fvs_part & u]
         assert cands == [c._replace(forbidden=c.forbidden | u & ~f) for c in plain]
 
 
 def test_trace_writes_one_line_per_subset():
-    # every subset of f gets exactly one line, the ones settled by the
-    # exact search included; each line of a candidate whose DP ran is
-    # followed by its tables, one line per forest vertex
+    # after one "extension:" line, every subset of f gets exactly one
+    # line, the ones settled by the exact search included, and each
+    # candidate whose search ran shows its search nodes
     import io
 
     fallbacks = 0
@@ -576,19 +385,17 @@ def test_trace_writes_one_line_per_subset():
         out = min_ifvs_given_fvs(g, f, trace=sink)
         fallbacks += out.stats.fallbacks
         lines = sink.getvalue().splitlines()
-        forest = len(root_forest(g, f).order)
-        assert lines[0].startswith(f"forest nodes ({forest} vertices")
+        members = ",".join(map(str, bits(f)))
+        assert lines[0] == f"extension: {g.n} vertices, fvs {{{members}}}"
         subsets = []
-        for i, line in enumerate(lines):
-            if not line.startswith("candidate {"):
-                continue
+        for line in lines[1:]:
+            assert line.startswith("candidate {"), line
             members = line[len("candidate {") : line.index("}")]
             subsets.append(mask_of(int(v) for v in members.split(",") if v))
-            if "dp_cost=" in line:
-                tables = lines[i + 1 : i + 1 + forest]
-                assert all(t.startswith("    vertex ") for t in tables), line
         assert sorted(subsets) == list(_iter_subsets(f)), (g.edges, f)
-        assert sum("fallback(tests=" in line for line in lines) == out.stats.fallbacks
+        searched = [line for line in lines if " nodes=" in line and " nodes=0 " not in line]
+        assert len(searched) == out.stats.fallbacks
+        assert sum(" nodes=0 pruned" in line for line in lines) == out.stats.bound_pruned
     assert fallbacks > 0
 
 
@@ -628,30 +435,23 @@ def test_trace_output():
 
     sink = io.StringIO()
     min_ifvs_given_fvs(cycle(4), mask_of([0]), trace=sink)
-    text = sink.getvalue()
-    lines = text.splitlines()
-    # the forest left by {0}: one "v parent [children]" line per vertex
-    assert lines[0].startswith("forest nodes")
-    assert lines[1:4] == ["1 - [2]", "2 1 [3]", "3 2 []"]
-    assert "candidate {} accepted" in text
-    assert "candidate {0} accepted" in text
-    # each final keep row is dumped densely, "-" for an infeasible subset
-    assert lines[5:8] == [
-        "    vertex 1 keep=[- 1] del=1",
-        "    vertex 2 keep=[1 0] del=1",
-        "    vertex 3 keep=[- 0] del=1",
+    # {} enters at its degree bound 1 and its search finds one deletion;
+    # {0} enters at its size 1, which the best total 1 then prunes
+    assert sink.getvalue().splitlines() == [
+        "extension: 4 vertices, fvs {0}",
+        "candidate {} key=1 nodes=2 found",
+        "candidate {0} key=1 nodes=0 pruned",
     ]
-    # with l = 2 components the rows have four cells, in subset order
+    # rejected and infeasible subsets are written during the scan, the
+    # others as they leave the queue for good, and an exhausted search
+    # shows every node of its levels
     sink = io.StringIO()
-    min_ifvs_given_fvs(generate(7, 10, 3), mask_of([0, 3]), trace=sink)
-    lines = sink.getvalue().splitlines()
-    assert lines[6:12] == [
-        "candidate {} accepted l=2 dp_cost=2 evals=13",
-        "    vertex 1 keep=[- - 2 3] del=2",
-        "    vertex 2 keep=[- - - 0] del=1",
-        "    vertex 4 keep=[- - 0 -] del=1",
-        "    vertex 5 keep=[- 2 - 1] del=1",
-        "    vertex 6 keep=[- - 0 -] del=1",
+    assert min_ifvs_given_fvs(complete(4), mask_of([0, 1]), trace=sink).absent
+    assert sink.getvalue().splitlines()[1:] == [
+        "candidate {0} infeasible",
+        "candidate {1} infeasible",
+        "candidate {0,1} rejected (not-independent)",
+        "candidate {} key=2 nodes=3 exhausted",
     ]
 
 
@@ -682,7 +482,7 @@ def test_trace_marks_pruned_candidates():
     out = min_ifvs_given_fvs(cycle(4), mask_of([0]), trace=sink)
     # {} already costs 1, so the one-vertex candidate {0} cannot beat it
     assert out.stats.pruned == 1
-    assert "candidate {0} accepted l=0 pruned" in sink.getvalue()
+    assert "candidate {0} key=1 nodes=0 pruned" in sink.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -691,13 +491,13 @@ def test_admit_matches_the_graph_predicates(data):
     g = data.draw(graphs())
     f = data.draw(st.integers(0, g.vertex_mask))
     for sub in _iter_subsets(f):
-        reason, comps = _admit(g.adj, f, sub)
+        reason = _admit(g.adj, f, sub)
         if not g.is_independent_set(sub):
-            assert (reason, comps) == ("not-independent", ())
+            assert reason == "not-independent"
         elif not g.is_forest_within(f & ~sub):
-            assert (reason, comps) == ("cyclic-remainder", ())
+            assert reason == "cyclic-remainder"
         else:
-            assert (reason, comps) == ("", tuple(g.components_within(f & ~sub)))
+            assert reason == ""
 
 
 def _min_extension(g, f, sub):
@@ -743,7 +543,7 @@ def test_degree_bound_is_sound(g, data):
     core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
     for u in (0, undeletable):
         for sub in _iter_subsets(f):
-            if _admit(g.adj, f, sub)[0]:
+            if _admit(g.adj, f, sub):
                 continue
             near = g.neighbors(sub)
             rest = _strip(g.adj, core & ~sub, near & core)
@@ -761,15 +561,35 @@ def test_degree_bound_is_sound(g, data):
 def test_trace_marks_bound_pruned_candidates():
     import io
 
-    # two disjoint triangles with f = {0, 3}: the empty candidate costs 2,
-    # and each one-vertex candidate leaves the other triangle, a cycle
-    # that closes its gap of 1 before its DP runs
+    # two disjoint triangles with f = {0, 3}: the empty candidate enters
+    # at its degree bound 2 and its search finds 2 deletions; each
+    # one-vertex candidate leaves the other triangle, whose bound of 1
+    # fills its gap, so it is pruned before any search level
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     sink = io.StringIO()
     out = min_ifvs_given_fvs(g, mask_of([0, 3]), trace=sink)
     assert out.size == 2
-    assert (out.stats.pruned, out.stats.bound_pruned, out.stats.dp_cells) == (3, 2, 6)
+    assert (out.stats.pruned, out.stats.bound_pruned, out.stats.fallbacks) == (3, 3, 1)
     text = sink.getvalue()
-    assert "candidate {0} accepted l=1 pruned (bound=1)" in text
-    assert "candidate {3} accepted l=1 pruned (bound=1)" in text
-    assert "candidate {0,3} accepted l=0 pruned\n" in text
+    assert "candidate {} key=2 nodes=3 found\n" in text
+    assert "candidate {0} key=2 nodes=0 pruned\n" in text
+    assert "candidate {3} key=2 nodes=0 pruned\n" in text
+    assert "candidate {0,3} key=2 nodes=0 pruned\n" in text
+
+
+def test_infeasible_candidates_run_no_search():
+    # K4 with f = {0, 1}: {0} forbids 2 and 3, so no deletable vertex is
+    # left in the triangle 1-2-3, and its degree bound is past every
+    # budget; it and {1} are marked infeasible and never searched, while
+    # {} exhausts its deletable vertices
+    import io
+
+    sink = io.StringIO()
+    out = min_ifvs_given_fvs(complete(4), mask_of([0, 1]), trace=sink)
+    assert out.absent
+    assert (out.stats.candidates_accepted, out.stats.fallbacks, out.stats.pruned) == (3, 1, 0)
+    lines = sink.getvalue().splitlines()
+    assert "candidate {0} infeasible" in lines and "candidate {1} infeasible" in lines
+    searched = [line for line in lines if " nodes=" in line]
+    assert searched == ["candidate {} key=2 nodes=3 exhausted"]
+    assert solve_ifvs(complete(4), 5).decision == "absent"

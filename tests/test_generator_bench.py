@@ -115,10 +115,10 @@ def test_run_bench_shapes():
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     for rec in records:
-        assert rec["dp_cells"] >= 0 and rec["ratio"] >= 0
+        assert rec["fallback_tests"] >= rec["fallbacks"] >= 0
         assert rec["decision"] in ("yes", "no-within-k", "no-ifvs-exists")
     # the counter columns are the solve's own SolveStats;
-    # generate(10, 14, 1) at k=10 runs the exact fallback search
+    # generate(10, 14, 1) at k=10 runs the exact search
     from ifvs import solve_ifvs
     from ifvs.compression import COUNTERS
 
@@ -136,12 +136,13 @@ def test_run_bench_shapes():
 
 
 def test_forest_family_per_step_counts_stay_linear():
-    # forests keep every candidate nearly component-free, so each
-    # extension call costs O(prefix size) evaluations
+    # a forest closes no cycle, so every step is skipped and does no
+    # counted work at all
     from conftest import path
     from ifvs import solve_ifvs
 
     out = solve_ifvs(path(80), 0)
     assert out.decision == "yes"
     for step in out.stats.steps:
-        assert step.dp_cells <= 8 * step.prefix
+        assert step.skipped
+        assert step.candidates + step.fallback_tests <= 8 * step.prefix

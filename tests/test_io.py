@@ -155,3 +155,15 @@ def test_fields_past_the_int_digit_limit_are_out_of_range(parse, text, message):
 
 def test_leading_zeros_past_the_int_digit_limit_are_read():
     assert parse_edgelist("0" * 5000 + "3 1\n0 " + "0" * 4999 + "2\n") == Graph(3, [(0, 2)])
+
+
+@pytest.mark.parametrize("first", ["cx", "cat", "cp edge 3 3", "cx 1 2"])
+def test_dimacs_comment_lines_start_with_a_lone_c(first):
+    # only a first token of exactly "c" marks a comment; a line that merely
+    # starts with the letter is an unknown line type, not a skipped one
+    text = first + "\np edge 3 3\ne 1 2\ne 2 3\ne 3 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(text)
+    assert err.value.line_no == 1 and "line 1" in str(err.value)
+    triangle = parse_dimacs("c\nc a comment\n\tc indented\np edge 3 3\ne 1 2\ne 2 3\ne 3 1\n")
+    assert triangle.m == 3

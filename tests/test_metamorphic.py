@@ -1,9 +1,9 @@
 """Metamorphic properties of the optimum, on graphs drawn around hubs.
 
 Each graph grows a tree whose first vertex has at least three children,
-then adds a few extra edges to close cycles.  Forest vertices with three
-or more children are where the DP folds a child into a row that already
-holds two, so these draws exercise the later-child merges.
+then adds a few extra edges to close cycles, so a hub of high degree
+often lies on a cycle, and the exact search, which branches on the
+vertex with the most neighbours in the 2-core, meets it first.
 """
 
 from hypothesis import given, settings
