@@ -7,8 +7,7 @@ feedback vertex set instances are handled through the edge-subdivision
 reduction.  Brute-force oracles back the differential test suite.
 
 Result and helper types (``SolveOutcome``, ``StepRecord``,
-``ExtensionOutcome``, ``Candidate``, ...) are importable from their
-modules.  The records among them are named tuples
+``ExtensionOutcome``, ...) are importable from their modules.  The records among them are named tuples
 (``_fields``, ``_asdict()``), and the counters ``SolveStats`` and
 ``ExtensionStats`` are slotted classes.
 """

@@ -11,13 +11,15 @@ may hold; they are never chosen from ``f`` and are forbidden in every
 extension.
 
 Candidates wait in one queue keyed by a proven lower bound on their
-exact total, least first.  A candidate enters at its size plus the
-degree bound (see :func:`_degree_bound`) of the 2-core of ``G`` minus the
-candidate, or at a caller-supplied lower bound on the optimum if higher;
-one whose bound shows that no deletable vertices can clear that core is
-infeasible and never enters.  Each time a candidate leaves the queue, one
-search level looks for an extension that fills the gap between its key
-and its size.  If there is none, the candidate goes back one key higher,
+exact total, least first.  Admission computes each candidate's search
+state once: the 2-core of ``G`` minus the candidate and the vertices of
+that core it may delete.  A candidate enters at its size plus the degree
+bound (see :func:`_degree_bound`) of that state, or at a caller-supplied
+lower bound on the optimum if higher; one whose bound shows that no
+deletable vertices can clear the core is infeasible and never enters.
+Each time a candidate leaves the queue, one search level, started from
+its state, looks for an extension that fills the gap between its key and
+its size.  If there is none, the candidate goes back one key higher,
 until the gap covers every vertex it may delete.  An entry whose key
 reaches the best total found so far is *pruned*.  So no search tries a
 size that a known total rules out, and the optimum is never below the
@@ -37,15 +39,6 @@ INFEASIBLE = math.inf
 
 class NotAnFvsError(ValueError):
     """The provided set is not a feedback vertex set of the graph."""
-
-
-class Candidate(NamedTuple):
-    """A named tuple: an admissible choice for the solution's part in the FVS."""
-
-    fvs_part: int  # chosen vertices, a subset of the fvs mask
-    size: int
-    forbidden: int  # forest vertices adjacent to fvs_part, or undeletable
-    fvs: int
 
 
 class ExtensionStats:
@@ -130,25 +123,21 @@ def _admit(adj: tuple[int, ...], f: int, sub: int) -> str:
     return ""
 
 
-def _build_candidate(f: int, sub: int, near: int, undeletable: int) -> Candidate:
-    """The candidate ``sub`` of ``f``, whose neighbourhood is ``near``."""
-    return Candidate(sub, sub.bit_count(), (near | undeletable) & ~f, f)
-
-
-def enumerate_candidates(g: Graph, f: int, *, undeletable: int = 0) -> Iterator[Candidate]:
-    """Yield every subset of ``f`` that could sit inside a solution.
+def enumerate_candidates(g: Graph, f: int, *, undeletable: int = 0) -> Iterator[int]:
+    """Yield the bitmask of every subset of ``f`` that could sit inside a solution.
 
     A subset qualifies iff it avoids ``undeletable``, is independent, and
     the rest of ``f`` induces an acyclic subgraph.  Subsets stream in
     ascending bitmask order; the empty set is always considered.  The
     solver admits subsets inside :func:`min_ifvs_given_fvs`; this is the
-    reference the tests hold that scan to.
+    reference the tests hold that scan to.  Raises :class:`NotAnFvsError`
+    as :func:`min_ifvs_given_fvs` does.
     """
-    if not g.is_fvs(f):
+    if f & ~g.vertex_mask or not g.is_fvs(f):
         raise NotAnFvsError("candidate enumeration requires a feedback vertex set")
     for sub in _iter_subsets(f & ~undeletable):
         if not _admit(g.adj, f, sub):
-            yield _build_candidate(f, sub, g.neighbors(sub), undeletable)
+            yield sub
 
 
 def _strip(adj: tuple[int, ...], core: int, todo: int) -> int:
@@ -171,7 +160,7 @@ def _strip(adj: tuple[int, ...], core: int, todo: int) -> int:
     return core
 
 
-def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> int:
+def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> tuple[int, int]:
     """Fewest vertices of ``deletable`` an independent set needs to clear ``core``.
 
     ``core`` is a 2-core (see :func:`_strip`) with ``n`` vertices, ``m``
@@ -181,10 +170,14 @@ def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> int:
     or more.  The bound is the least ``t`` for which the ``t`` largest of
     those values over ``deletable`` reach it: 0 for an empty core, and
     ``len(adj) + 1`` when none do.  One flood fill per component counts
-    the components, the edge ends and the values.
+    the components, the edge ends and the values, and finds the vertex to
+    branch on: the one of ``deletable & core`` with the most neighbours in
+    ``core``, ties to the smallest id, or -1 if there is none.
+    Returns ``(bound, vertex)``.
     """
     comps = ends = 0
     gains: list[int] = []
+    top, top_degree = -1, -1
     rest = core
     while rest:
         comps += 1
@@ -192,11 +185,14 @@ def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> int:
         while todo:
             low = todo & -todo
             todo ^= low
-            nb = adj[low.bit_length() - 1] & core
+            v = low.bit_length() - 1
+            nb = adj[v] & core
             degree = nb.bit_count()
             ends += degree
             if deletable & low:
                 gains.append(degree - 1)
+                if degree > top_degree or degree == top_degree and v < top:
+                    top, top_degree = v, degree
             todo |= nb & ~comp
             comp |= nb
         rest &= ~comp
@@ -206,30 +202,26 @@ def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> int:
     while need > 0 and t < len(gains):
         need -= gains[t]
         t += 1
-    return t if need <= 0 else len(adj) + 1
+    return (t if need <= 0 else len(adj) + 1), top
 
 
-def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None, int]:
+def _fallback_search(
+    adj: tuple[int, ...], core: int, allowed: int, budget: int
+) -> tuple[int | None, int]:
     """One level of the exact search that decides each candidate.
 
-    Looks for a valid extension of ``cand`` with at most ``budget``
-    vertices.  Branches on one vertex of the remaining graph, the
-    deletable one with the most neighbours in it (ties to the smallest
-    id): first delete it, which forbids its neighbours, then keep it,
-    which only takes it out of the deletable set.  The remaining graph is kept as its 2-core: the
-    universe is stripped once per call, and a deletion re-strips only from
-    the deleted vertex's neighbours, and a node whose :func:`_degree_bound`
-    exceeds its budget ends there.  The keep branch is the next pass of a
-    loop, not a call, so the recursion is at most ``budget + 1`` deep.
-    ``tests`` counts search nodes, each one test of whether the remaining
-    graph is acyclic.  Returns ``(extension_mask, tests)``; the mask holds
-    at most ``budget`` vertices, and is None when no valid extension is
-    that small.
+    Looks for an independent set of at most ``budget`` vertices of
+    ``allowed`` whose deletion leaves the 2-core ``core`` acyclic; the
+    caller checks the solution it assembles.  Each node branches on the
+    vertex :func:`_degree_bound` returns with its bound: first delete it,
+    which forbids its neighbours, then keep it, which only takes it out
+    of ``allowed``.  A deletion re-strips the core only from the deleted
+    vertex's neighbours, and a node whose bound exceeds its budget ends
+    there.  The keep branch is the next pass of a loop, not a call, so
+    the recursion is at most ``budget + 1`` deep.  ``tests`` counts
+    search nodes.  Returns ``(extension_mask, tests)``; the mask holds at
+    most ``budget`` vertices, and is None when no such set is that small.
     """
-    base = cand.fvs_part
-    universe = g.vertex_mask & ~base
-    allowed_all = g.vertex_mask & ~(cand.fvs | cand.forbidden)
-    adj = g.adj
     tests = 0
 
     def dfs(core: int, deleted: int, allowed: int, budget: int) -> int | None:
@@ -238,13 +230,14 @@ def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None
             tests += 1
             if not core:
                 return deleted
-            # a non-empty 2-core needs m - n + c >= 1, so its bound is at
-            # least 1, and with no deletable vertex in it len(adj) + 1,
-            # above every budget the solver passes (at most n): max()
-            # never sees an empty set
-            if not budget or _degree_bound(adj, core, allowed) > budget:
+            if not budget:
                 return None
-            v = max(bits(core & allowed), key=lambda u: (adj[u] & core).bit_count())
+            # a non-empty 2-core has m - n + c >= 1, so with no deletable
+            # vertex in it the bound is len(adj) + 1, past every budget the
+            # solver passes (at most n): v >= 0 below
+            t, v = _degree_bound(adj, core, allowed)
+            if t > budget:
+                return None
             bit = 1 << v
             found = dfs(
                 _strip(adj, core ^ bit, adj[v] & core),
@@ -256,9 +249,7 @@ def _fallback_search(g: Graph, cand: Candidate, budget: int) -> tuple[int | None
                 return found
             allowed ^= bit  # keep v
 
-    ext = dfs(_strip(adj, universe, universe), 0, allowed_all, budget)
-    if ext is not None and not g.is_ifvs(base | ext):
-        raise AssertionError("residual search produced an invalid set")
+    ext = dfs(core, 0, allowed, budget)
     return ext, tests
 
 
@@ -281,11 +272,13 @@ def min_ifvs_given_fvs(
     not exceed the optimum, such as the optimum of an induced subgraph;
     no key is below it, so once the best total equals it every entry is
     pruned.  Reports absence when every candidate is infeasible.  Raises
-    :class:`NotAnFvsError` when ``f`` is not an FVS.  ``trace`` receives
-    one ``extension:`` line, then one line per scanned subset once it is
-    rejected, found infeasible or leaves the queue for good.
+    :class:`NotAnFvsError` when ``f`` is not an FVS or holds a vertex
+    outside ``g``, and ``AssertionError`` on an invalid assembled set.
+    ``trace`` receives one ``extension:`` line, then one line per scanned
+    subset once it is rejected, found infeasible or leaves the queue for
+    good.
     """
-    if not g.is_fvs(f):
+    if f & ~g.vertex_mask or not g.is_fvs(f):
         raise NotAnFvsError("the provided set is not a feedback vertex set")
     adj = g.adj
     stats = ExtensionStats()
@@ -299,9 +292,9 @@ def min_ifvs_given_fvs(
     if trace is not None:
         trace.write(f"extension: {g.n} vertices, fvs {{{','.join(map(str, bits(f)))}}}\n")
 
-    # one queue, least key first: (key, size, bitmask, candidate, room,
-    # search nodes so far), room being the deletable vertices of the
-    # 2-core of G - sub, the most a search level can delete
+    # one queue, least key first: (key, size, bitmask, 2-core of G - sub,
+    # its deletable vertices, search nodes so far); a search level can
+    # delete at most every deletable vertex
     core = _strip(adj, g.vertex_mask, g.vertex_mask)
     queue: list[tuple] = []
     for sub in _iter_subsets(scan):
@@ -312,38 +305,40 @@ def min_ifvs_given_fvs(
             continue
         stats.candidates_accepted += 1
         near = g.neighbors(sub)
-        cand = _build_candidate(f, sub, near, undeletable)
         # the 2-core of G - sub: only sub's neighbours lost degree
         rest = _strip(adj, core & ~sub, near & core)
-        deletable = rest & ~(f | cand.forbidden)
-        t = _degree_bound(adj, rest, deletable)
+        deletable = rest & ~(f | near | undeletable)
+        t = _degree_bound(adj, rest, deletable)[0]
         if t > g.n:
             # no deletable vertices clear the core: never a search budget
             if trace is not None:
                 note(sub, "infeasible")
             continue
-        queue.append((max(cand.size + t, lower), cand.size, sub, cand, deletable.bit_count(), 0))
-    heapq.heapify(queue)  # keys never tie, so candidates are never compared
+        size = sub.bit_count()
+        queue.append((max(size + t, lower), size, sub, rest, deletable, 0))
+    heapq.heapify(queue)  # (key, size, bitmask) never ties
 
     best_total: float = INFEASIBLE
     best_cert: int | None = None
     while queue:
-        key, size, sub, cand, room, nodes = heapq.heappop(queue)
+        key, size, sub, rest, deletable, nodes = heapq.heappop(queue)
         if key >= best_total:
             stats.pruned += 1
             stats.bound_pruned += not nodes
             fate = "pruned"
         else:
             stats.fallbacks += not nodes
-            ext, more = _fallback_search(g, cand, key - size)
+            ext, more = _fallback_search(adj, rest, deletable, key - size)
             stats.fallback_tests += more
             nodes += more
             if ext is not None:
+                if not g.is_ifvs(sub | ext):
+                    raise AssertionError("the exact search produced an invalid set")
                 best_total = size + ext.bit_count()
                 best_cert = sub | ext
                 fate = "found"
-            elif key - size < room:
-                heapq.heappush(queue, (key + 1, size, sub, cand, room, nodes))
+            elif key - size < deletable.bit_count():
+                heapq.heappush(queue, (key + 1, size, sub, rest, deletable, nodes))
                 continue
             else:
                 fate = "exhausted"

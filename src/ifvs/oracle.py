@@ -39,7 +39,7 @@ def brute_min_ifvs_extension(
     """Minimum IFVS of ``g``, with the precondition that ``f`` is an FVS.
 
     Same answer as :func:`brute_min_ifvs`; the separate entry point pins
-    the interface the dynamic-programming stage is checked against.
+    the interface of :func:`ifvs.extension.min_ifvs_given_fvs`.
     """
     _check_size(g)
     if not g.is_fvs(f):

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from ifvs import Graph
-from ifvs.extension import Candidate, _fallback_search
+from ifvs.extension import _fallback_search, _strip
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -92,16 +92,19 @@ def two_core(g: Graph) -> set[int]:
 def search_min_ifvs(g: Graph, undeletable: int = 0) -> int | None:
     """Least size of an IFVS of ``g`` that avoids ``undeletable``, or None.
 
-    Runs the extension's exact search alone, on the empty candidate with
-    ``undeletable`` forbidden, at budgets 0, 1, 2, ... until one finds an
-    extension.  No candidate scan, queue or compression step takes part,
-    so this is an oracle for graphs past the brute-force limit.
+    Runs the extension's exact search alone on the 2-core of ``g``, with
+    every core vertex outside ``undeletable`` deletable, at budgets 0, 1,
+    2, ... until one finds an extension.  No candidate scan, queue or
+    compression step takes part, so this is an oracle for graphs past the
+    brute-force limit.
     """
-    cand = Candidate(0, 0, forbidden=undeletable, fvs=0)
-    for budget in range((g.vertex_mask & ~undeletable).bit_count() + 1):
-        ext, _ = _fallback_search(g, cand, budget)
+    core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
+    allowed = core & ~undeletable
+    for budget in range(allowed.bit_count() + 1):
+        ext, _ = _fallback_search(g.adj, core, allowed, budget)
         if ext is not None:
             assert ext.bit_count() == budget and not ext & undeletable
+            assert g.is_ifvs(ext)
             return budget
     return None
 

@@ -86,8 +86,8 @@ def _shares_a_component_pair(g: Graph, f: int) -> bool:
     cycle through that pair, which a dynamic program over the forest keyed
     by component subsets cannot see."""
     forest = [v for v in range(g.n) if not f >> v & 1]
-    for cand in enumerate_candidates(g, f):
-        comps = g.components_within(f & ~cand.fvs_part)
+    for sub in enumerate_candidates(g, f):
+        comps = g.components_within(f & ~sub)
         for a, b in combinations(comps, 2):
             if sum(1 for v in forest if g.adj[v] & a and g.adj[v] & b) >= 2:
                 return True

@@ -34,7 +34,6 @@ from ifvs import (
     subdivide,
 )
 from ifvs.extension import (
-    Candidate,
     _admit,
     _degree_bound,
     _fallback_search,
@@ -48,10 +47,16 @@ def _candidates(g, f):
     return list(enumerate_candidates(g, f))
 
 
+def _search_state(g, f, sub, undeletable=0):
+    """The 2-core of ``g - sub`` and its deletable vertices, built from scratch."""
+    core = _strip(g.adj, g.vertex_mask & ~sub, g.vertex_mask & ~sub)
+    return core, core & ~(f | g.neighbors(sub) | undeletable)
+
+
 def test_enumerate_single_vertex_fvs():
     tri = cycle(3)
     cands = _candidates(tri, mask_of([0]))
-    assert [c.fvs_part for c in cands] == [0, 1]
+    assert cands == [0, 1]
 
 
 def test_enumerate_adjacent_pair():
@@ -59,7 +64,7 @@ def test_enumerate_adjacent_pair():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     assert g.is_fvs(mask_of([0, 1]))
     cands = _candidates(g, mask_of([0, 1]))
-    assert [c.fvs_part for c in cands] == [0, mask_of([0]), mask_of([1])]
+    assert cands == [0, mask_of([0]), mask_of([1])]
 
 
 def test_enumerate_triangle_fvs():
@@ -68,12 +73,19 @@ def test_enumerate_triangle_fvs():
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)])
     assert g.is_fvs(mask_of([0, 1, 2]))
     cands = _candidates(g, mask_of([0, 1, 2]))
-    assert [c.fvs_part for c in cands] == [mask_of([0]), mask_of([1]), mask_of([2])]
+    assert cands == [mask_of([0]), mask_of([1]), mask_of([2])]
 
 
 def test_enumerate_requires_fvs():
     with pytest.raises(NotAnFvsError):
         list(enumerate_candidates(cycle(4), 0))
+    # a mask with a vertex outside the graph is no FVS of it, even when
+    # its part inside is one
+    for f in (0b100001, -1):
+        with pytest.raises(NotAnFvsError):
+            list(enumerate_candidates(cycle(3), f))
+        with pytest.raises(NotAnFvsError):
+            min_ifvs_given_fvs(cycle(3), f)
 
 
 def test_k4_all_candidates_infeasible():
@@ -81,9 +93,9 @@ def test_k4_all_candidates_infeasible():
     f = mask_of([0, 1])
     cands = _candidates(g, f)
     assert cands  # the empty choice is admissible here
-    for cand in cands:
+    for sub in cands:
         # a budget of every vertex leaves the search nothing to cut
-        assert _fallback_search(g, cand, g.n)[0] is None
+        assert _fallback_search(g.adj, *_search_state(g, f, sub), g.n)[0] is None
 
 
 def test_min_ifvs_given_fvs_examples():
@@ -149,14 +161,14 @@ def test_gate_fires_on_cross_tree_and_forced_fixtures():
 
 def test_fallback_search_cost_cap():
     g, f = gate_forced_fallback()
-    empty = _candidates(g, f)[0]
+    assert _candidates(g, f)[0] == 0
+    core, allowed = _search_state(g, f, 0)
     # the empty choice admits no extension at all for this instance
-    deletable = (g.vertex_mask & ~(f | empty.forbidden)).bit_count()
-    for budget in range(deletable + 1):
-        ext, tests = _fallback_search(g, empty, budget)
+    for budget in range((g.vertex_mask & ~f).bit_count() + 1):
+        ext, tests = _fallback_search(g.adj, core, allowed, budget)
         assert ext is None and tests > 0
     # a zero budget tests the remaining graph once and cuts there
-    assert _fallback_search(g, empty, 0) == (None, 1)
+    assert _fallback_search(g.adj, core, allowed, 0) == (None, 1)
 
 
 def test_reported_sizes_are_minimal():
@@ -226,17 +238,18 @@ def test_per_candidate_exactness():
     for g, f in _fvs_corpus(99, 80):
         u = mask_of(v for v in bits(g.vertex_mask & ~f) if rng.random() < 0.3)
         for mask in (0, u):
-            for cand in enumerate_candidates(g, f, undeletable=mask):
-                true_min = _min_extension(g, f | mask, cand.fvs_part)
+            for sub in enumerate_candidates(g, f, undeletable=mask):
+                true_min = _min_extension(g, f | mask, sub)
+                core, allowed = _search_state(g, f, sub, mask)
                 if true_min is None:
-                    deletable = (g.vertex_mask & ~(f | cand.forbidden)).bit_count()
-                    assert _fallback_search(g, cand, deletable)[0] is None
+                    every = (g.vertex_mask & ~(f | g.neighbors(sub) | mask)).bit_count()
+                    assert _fallback_search(g.adj, core, allowed, every)[0] is None
                     continue
                 if true_min:
-                    assert _fallback_search(g, cand, true_min - 1)[0] is None
-                ext, _ = _fallback_search(g, cand, true_min)
+                    assert _fallback_search(g.adj, core, allowed, true_min - 1)[0] is None
+                ext, _ = _fallback_search(g.adj, core, allowed, true_min)
                 assert ext is not None and ext.bit_count() == true_min
-                assert g.is_ifvs(cand.fvs_part | ext) and not ext & mask
+                assert g.is_ifvs(sub | ext) and not ext & mask
 
 
 def test_search_alone_matches_the_oracles():
@@ -266,8 +279,8 @@ def test_a_deep_keep_chain_does_not_recurse():
     edges = [(i, (i + 1) % length) for i in range(length)]
     edges += [(length, length + 1), (length + 1, length + 2), (length + 2, length)]
     g = Graph(length + 3, edges)
-    cand = Candidate(0, 0, forbidden=mask_of(range(length, length + 3)), fvs=0)
-    ext, tests = _fallback_search(g, cand, 2)
+    allowed = mask_of(range(length))
+    ext, tests = _fallback_search(g.adj, g.vertex_mask, allowed, 2)
     assert ext is None and tests > length
 
 
@@ -293,9 +306,12 @@ def test_equal_keys_leave_in_size_then_bitmask_order():
 
     g, f = gate_fallback_tie()
     for members in ([0], [5]):
-        cand = next(c for c in enumerate_candidates(g, f) if c.fvs_part == mask_of(members))
-        assert _fallback_search(g, cand, 2)[0] is None
-        assert _fallback_search(g, cand, 3)[0].bit_count() == 3
+        sub = mask_of(members)
+        assert sub in enumerate_candidates(g, f)
+        core, allowed = _search_state(g, f, sub)
+        assert _fallback_search(g.adj, core, allowed, 2)[0] is None
+        ext, _ = _fallback_search(g.adj, core, allowed, 3)
+        assert ext.bit_count() == 3 and g.is_ifvs(sub | ext)
     sink = io.StringIO()
     out = min_ifvs_given_fvs(g, f, trace=sink)
     assert out.size == brute_min_ifvs(g)[0] == 4
@@ -361,15 +377,15 @@ def test_undeletable_mask_is_exact():
 
 
 def test_masked_counters_match_the_masked_candidate_scan():
-    # the mask drops the subsets of f that meet it and forbids its forest
-    # vertices; every other field of a candidate stays as it was
+    # the mask drops the subsets of f that meet it and admits the rest as
+    # before; test_undeletable_mask_is_exact checks that the search then
+    # forbids its forest vertices
     for g, f, u in _masked_corpus(63):
         stats = min_ifvs_given_fvs(g, f, undeletable=u).stats
         cands = list(enumerate_candidates(g, f, undeletable=u))
         assert stats.candidates_scanned == 2 ** (f & ~u).bit_count()
         assert stats.candidates_accepted == len(cands)
-        plain = [c for c in enumerate_candidates(g, f) if not c.fvs_part & u]
-        assert cands == [c._replace(forbidden=c.forbidden | u & ~f) for c in plain]
+        assert cands == [sub for sub in enumerate_candidates(g, f) if not sub & u]
 
 
 def test_trace_writes_one_line_per_subset():
@@ -537,7 +553,10 @@ def test_degree_bound_is_sound(g, data):
     # exactly when G - sub is acyclic, past n only when no extension
     # exists, and equal to it when the 2-core left is disjoint cycles, one
     # deletion each.  Besides the empty mask, a random undeletable mask
-    # that avoids f forbids part of the forest as well
+    # that avoids f forbids part of the forest as well.  The vertex
+    # returned is the deletable core vertex with the most core
+    # neighbours, smallest id on ties, or -1; deletable vertices outside
+    # the core change neither value
     f = mask_of(brute_min_fvs(g)[1])
     undeletable = data.draw(st.integers(0, g.vertex_mask)) & ~f
     core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
@@ -547,7 +566,11 @@ def test_degree_bound_is_sound(g, data):
                 continue
             near = g.neighbors(sub)
             rest = _strip(g.adj, core & ~sub, near & core)
-            bound = _degree_bound(g.adj, rest, rest & ~(f | near | u))
+            free = g.vertex_mask & ~(f | near | u)
+            bound, top = _degree_bound(g.adj, rest, rest & free)
+            assert _degree_bound(g.adj, rest, free) == (bound, top)
+            degree = {v: (g.adj[v] & rest).bit_count() for v in bits(rest & free)}
+            assert top == min(degree, key=lambda v: (-degree[v], v), default=-1)
             best = _min_extension(g, f | u, sub)
             assert (bound == 0) == g.is_forest_within(g.vertex_mask & ~sub)
             if best is not None:

@@ -8,14 +8,15 @@ Solves each probe below once with the ``ifvs`` package of this checkout
 and prints one line per probe: the problem, graph and budget, then the
 decision, the certificate's size and the certificate, every
 ``SolveStats`` counter and the ``time.process_time`` seconds of the
-solve.  The probes are random graphs with a seed FVS well past the
-benchmark's, where the candidate scan, with one degree bound per
-candidate, and the exact search carry the time; the last one has 38 of
-its 100 vertices on no cycle, which ``solve_fvs`` peels before it
-solves.  They take a few seconds in all (about 2.3 s of CPU on 2 cores
-with CPython 3.11); compare the counters first, since CPU time is noisy
-on a shared machine.  ``tests/test_compression.py`` pins
-each probe's decision and optimum size.
+solve.  A last ``total cpu_s=`` line sums those seconds.  The probes are
+random graphs with a seed FVS well past the benchmark's, where the
+candidate scan, with one degree bound per candidate, and the exact
+search carry the time; the last one has 38 of its 100 vertices on no
+cycle, which ``solve_fvs`` peels before it solves.  They take a few
+seconds in all (about 2.3 s of CPU on 2 cores with CPython 3.11);
+compare the counters first, since CPU time is noisy on a shared
+machine.  ``tests/test_compression.py`` pins each probe's decision and
+optimum size.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ PROBES = (
 
 
 def main() -> None:
+    total = 0.0
     for problem, (n, m, seed), k in PROBES:
         solve = ifvs.solve_ifvs if problem == "ifvs" else ifvs.solve_fvs
         g = ifvs.generate(n, m, seed)
         t0 = time.process_time()
         out = solve(g, k)
         cpu = time.process_time() - t0
+        total += cpu
         if out.certificate is None:
             size, cert = "-", "-"
         else:
@@ -61,6 +64,7 @@ def main() -> None:
             f"size={size} certificate={cert} {counters} cpu_s={cpu:.2f}",
             flush=True,
         )
+    print(f"total cpu_s={total:.2f}")
 
 
 if __name__ == "__main__":
