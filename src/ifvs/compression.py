@@ -12,10 +12,12 @@ A union-find over the forest left by the current optimum tells whether
 the new vertex closes a cycle.  When it does not, the step is *skipped*:
 no edge joins two old vertices, so the old optimum is still independent
 and still an FVS, and prefix optima never shrink, so it is still
-minimum.  Only a step that closes a cycle pays for the extension stage,
-which also receives the old optimum as a lower bound.  Its prefix graph
-is sliced from the graph relabelled by insertion position, built once
-per solve, and the extension stage checks once that its input is an FVS.
+minimum.  A skipped step only adds one to ``SolveStats.skipped``.  Only
+a step that closes a cycle calls the extension stage, which also
+receives the old optimum as a lower bound, and records a
+:class:`StepRecord`.  Its prefix graph is sliced from the graph
+relabelled by insertion position, built once per solve, and the
+extension stage checks once that its input is an FVS.
 """
 
 from __future__ import annotations
@@ -31,28 +33,29 @@ from .graph import Graph, bits, mask_of
 
 
 class StepRecord(NamedTuple):
-    """One compression step: its prefix, its optimum and its counters.
+    """One extension call: its prefix, its optimum and its counters.
 
     A named tuple: ``_fields`` lists the fields in report order, and
-    ``_asdict()`` gives the step of the ``--json`` report.
+    ``_asdict()`` gives the step of the ``--json`` report.  The fields
+    after ``min_ifvs`` are the step's counters.
     """
 
     prefix: int  # number of vertices in the grown graph
-    fvs_size: int  # size of the FVS handed to the extension stage (0: skipped)
+    fvs_size: int  # size of the FVS handed to the extension stage
     min_ifvs: int | None  # prefix optimum (None: no solution exists)
-    candidates: int = 0
-    fallbacks: int = 0  # candidates whose exact search ran
-    fallback_tests: int = 0  # search nodes of those searches
-    pruned: int = 0  # candidates the extension stage pruned
-    bound_pruned: int = 0  # of those, pruned by their key before any search level
-    skipped: bool = False  # no cycle closed, the old optimum carried over
+    candidates: int
+    fallbacks: int  # candidates whose exact search ran
+    fallback_tests: int  # search nodes of those searches
+    pruned: int  # candidates the extension stage pruned
+    bound_pruned: int  # of those, pruned by their key before any search level
 
 
 class SolveStats:
     """Counter totals of one solve, with its steps and its wall time.
 
     A slotted class, mutable while the solve runs: :meth:`add` records
-    each step and sums the counters that :data:`COUNTERS` names.
+    each step and sums its counters, and a skipped step adds one to
+    ``skipped``.  :data:`COUNTERS` names the totals.
     """
 
     __slots__ = (
@@ -76,16 +79,15 @@ class SolveStats:
     def add(self, step: StepRecord) -> None:
         """Record ``step`` and add its counters to the totals."""
         self.steps.append(step)
-        if step.skipped:
-            self.skipped += 1  # a skipped step counts nothing else
-            return
         self.f_max = max(self.f_max, step.fvs_size)
-        for name in COUNTERS:
+        for name in _STEP_COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(step, name))
 
 
-# the SolveStats totals of a StepRecord field, in report order
-COUNTERS = tuple(name for name in SolveStats.__slots__ if name in StepRecord._fields)
+# the counters of a StepRecord, in report order
+_STEP_COUNTERS = StepRecord._fields[3:]
+# the per-solve counter totals of every report
+COUNTERS = _STEP_COUNTERS + ("skipped",)
 
 
 class SolveOutcome(NamedTuple):
@@ -199,11 +201,8 @@ def solve_ifvs(
                 break
             parent[a] = b
         if not closes:
-            # prefixes with at most two vertices are acyclic and get no step
-            if size >= 3:
-                stats.add(StepRecord(prefix=size, fvs_size=0, min_ifvs=len(current), skipped=True))
-                if progress is not None:
-                    progress(f"step {size}: {size} vertices, skipped, min = {len(current)}")
+            if size >= 3:  # prefixes of at most two vertices are acyclic
+                stats.skipped += 1
             continue
 
         prefix = _prefix_graph(h, size)
@@ -229,7 +228,7 @@ def solve_ifvs(
         stats.add(step)
         if progress is not None:
             shown = "-" if outcome.size is None else str(outcome.size)
-            counters = ", ".join(f"{name} = {getattr(step, name)}" for name in COUNTERS)
+            counters = ", ".join(f"{name} = {getattr(step, name)}" for name in _STEP_COUNTERS)
             progress(
                 f"step {size}: {size} vertices, fvs = {step.fvs_size}, min = {shown}, {counters}"
             )

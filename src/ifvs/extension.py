@@ -10,13 +10,20 @@ Villanger, JCSS 2008).  A caller may also name vertices that no solution
 may hold; they are never chosen from ``f`` and are forbidden in every
 extension.
 
+The scan tests each subset ``sub`` of ``f`` with its neighbours, which
+tell whether it is independent.  Every cycle of ``G[f - sub]`` lies in
+the 2-core of ``G``, and a graph is a forest iff its 2-core is empty,
+so the rest of ``f`` is acyclic iff its part inside the 2-core of ``G``
+strips to nothing (see :func:`_strip`).
+
 Candidates wait in one queue keyed by a proven lower bound on their
 exact total, least first.  Admission computes each candidate's search
-state once: the 2-core of ``G`` minus the candidate and the vertices of
-that core it may delete.  A candidate enters at its size plus the degree
-bound (see :func:`_degree_bound`) of that state, or at a caller-supplied
-lower bound on the optimum if higher; one whose bound shows that no
-deletable vertices can clear the core is infeasible and never enters.
+state once, from the same neighbours: the 2-core of ``G`` minus the
+candidate and the vertices of that core it may delete.  A candidate
+enters at its size plus the degree bound (see :func:`_degree_bound`) of
+that state, or at a caller-supplied lower bound on the optimum if
+higher; one whose bound shows that no deletable vertices can clear the
+core is infeasible and never enters.
 Each time a candidate leaves the queue, one search level, started from
 its state, looks for an extension that fills the gap between its key and
 its size.  If there is none, the candidate goes back one key higher,
@@ -87,42 +94,6 @@ def _iter_subsets(full: int) -> Iterator[int]:
         sub = (sub - full) & full
 
 
-def _admit(adj: tuple[int, ...], f: int, sub: int) -> str:
-    """Why the subset ``sub`` of ``f`` cannot sit inside a solution.
-
-    Returns "" when ``sub`` is independent and ``f - sub`` induces a
-    forest.  One breadth-first search on the adjacency masks visits each
-    component ``C`` of ``f - sub``, which is a tree iff it spans
-    ``|C| - 1`` edges.
-    """
-    rest = sub
-    while rest:
-        low = rest & -rest
-        if adj[low.bit_length() - 1] & sub:
-            return "not-independent"
-        rest ^= low
-    rem = f & ~sub
-    rest = rem
-    while rest:
-        comp = 0
-        frontier = rest & -rest
-        ends = 0  # edge ends inside the component
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nb = adj[low.bit_length() - 1] & rem
-                nxt |= nb
-                ends += nb.bit_count()
-                frontier ^= low
-            frontier = nxt & ~comp
-        if ends != 2 * (comp.bit_count() - 1):
-            return "cyclic-remainder"
-        rest &= ~comp
-    return ""
-
-
 def enumerate_candidates(g: Graph, f: int, *, undeletable: int = 0) -> Iterator[int]:
     """Yield the bitmask of every subset of ``f`` that could sit inside a solution.
 
@@ -130,13 +101,14 @@ def enumerate_candidates(g: Graph, f: int, *, undeletable: int = 0) -> Iterator[
     the rest of ``f`` induces an acyclic subgraph.  Subsets stream in
     ascending bitmask order; the empty set is always considered.  The
     solver admits subsets inside :func:`min_ifvs_given_fvs`; this is the
-    reference the tests hold that scan to.  Raises :class:`NotAnFvsError`
-    as :func:`min_ifvs_given_fvs` does.
+    reference the tests hold that scan to, decided by the graph's own
+    union-find predicates.  Raises :class:`NotAnFvsError` as
+    :func:`min_ifvs_given_fvs` does.
     """
     if f & ~g.vertex_mask or not g.is_fvs(f):
         raise NotAnFvsError("candidate enumeration requires a feedback vertex set")
     for sub in _iter_subsets(f & ~undeletable):
-        if not _admit(g.adj, f, sub):
+        if g.is_independent_set(sub) and g.is_forest_within(f & ~sub):
             yield sub
 
 
@@ -298,13 +270,18 @@ def min_ifvs_given_fvs(
     core = _strip(adj, g.vertex_mask, g.vertex_mask)
     queue: list[tuple] = []
     for sub in _iter_subsets(scan):
-        reason = _admit(adj, f, sub)
+        near = g.neighbors(sub)
+        rem = core & f & ~sub  # every cycle of G[f - sub] lies in the 2-core of G
+        reason = (
+            "not-independent"
+            if near & sub
+            else "cyclic-remainder" if _strip(adj, rem, rem) else ""
+        )
         if reason:
             if trace is not None:
                 note(sub, f"rejected ({reason})")
             continue
         stats.candidates_accepted += 1
-        near = g.neighbors(sub)
         # the 2-core of G - sub: only sub's neighbours lost degree
         rest = _strip(adj, core & ~sub, near & core)
         deletable = rest & ~(f | near | undeletable)

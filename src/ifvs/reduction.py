@@ -29,6 +29,8 @@ table maps back to ``G``.
 
 from __future__ import annotations
 
+from typing import Callable, TextIO
+
 from .compression import SolveOutcome, solve_ifvs
 from .extension import _strip
 from .graph import Graph, mask_of
@@ -55,20 +57,27 @@ def subdivide(g: Graph) -> Graph:
     return Graph.trusted(tuple(adj), edges)
 
 
-def solve_fvs(g: Graph, k: int, **kwargs) -> SolveOutcome:
+def solve_fvs(
+    g: Graph,
+    k: int,
+    *,
+    seed: int | None = None,
+    threads: int = 1,
+    trace: TextIO | None = None,
+    progress: Callable[[str], None] | None = None,
+) -> SolveOutcome:
     """Decide whether ``g`` has a feedback vertex set of size <= k.
 
     Runs the independent-set solver on the subdivided 2-core of ``g``
     with every subdivision vertex undeletable, so the certificate holds
-    kernel vertices only, and maps it back to ``g``.  Keyword arguments
-    pass through to :func:`ifvs.compression.solve_ifvs`; its ``trace``
-    and ``progress`` first get one ``kernel:`` line that lists the ids in
-    ``g`` of kernel vertices ``0..n'-1``, since the steps and the trace
-    count kernel vertices.
+    kernel vertices only, and maps it back to ``g``.  The keyword
+    arguments pass through to :func:`ifvs.compression.solve_ifvs`;
+    ``trace`` and ``progress`` first get one ``kernel:`` line that lists
+    the ids in ``g`` of kernel vertices ``0..n'-1``, since the steps and
+    the trace count kernel vertices.
     """
     core = _strip(g.adj, g.vertex_mask, g.vertex_mask)  # vertices on no cycle go
     h, ids = g.induced_subgraph(core)  # ids ascending
-    trace, progress = kwargs.get("trace"), kwargs.get("progress")
     if trace is not None or progress is not None:
         line = f"kernel: {h.n} of {g.n} vertices, {h.m} of {g.m} edges:"
         line += "".join(f" {v}" for v in ids)
@@ -77,7 +86,15 @@ def solve_fvs(g: Graph, k: int, **kwargs) -> SolveOutcome:
         if progress is not None:
             progress(line)
     sub = subdivide(h)
-    outcome = solve_ifvs(sub, k, undeletable=sub.vertex_mask & ~h.vertex_mask, **kwargs)
+    outcome = solve_ifvs(
+        sub,
+        k,
+        seed=seed,
+        threads=threads,
+        undeletable=sub.vertex_mask & ~h.vertex_mask,
+        trace=trace,
+        progress=progress,
+    )
     if outcome.decision == "absent":
         # cannot happen: any minimum FVS of h is an IFVS of the subdivision
         raise AssertionError("subdivided graph reported no solution")

@@ -135,7 +135,7 @@ def test_trace_writes_one_line_per_subset_per_call():
     proc = run_cli("ifvs", "--k", "8", "--json", "--no-timing", "--trace", stdin=text)
     report = json.loads(proc.stdout)
     calls = proc.stderr.split("extension: ")[1:]
-    steps = [s for s in report["steps"] if not s["skipped"]]
+    steps = report["steps"]
     assert len(calls) == len(steps)
     for call, step in zip(calls, steps):
         subsets = [line.split()[1] for line in call.splitlines() if line.startswith("candidate {")]
@@ -232,9 +232,8 @@ def test_bound_pruned_counter_is_reported():
     assert stats["bound_pruned"] <= stats["pruned"]
     assert all(s["bound_pruned"] <= s["pruned"] for s in steps)
     assert all(
-        f"pruned = {s['pruned']}, bound_pruned = {s['bound_pruned']}," in proc.stderr
+        f"pruned = {s['pruned']}, bound_pruned = {s['bound_pruned']}\n" in proc.stderr
         for s in steps
-        if not s["skipped"]
     )
     assert proc.stderr.count(" nodes=0 pruned") == 8
     plain = run_cli("ifvs", "--k", "8", "--no-timing", stdin=text)
@@ -301,7 +300,7 @@ def test_bench_subcommand(tmp_path):
 
 def test_each_counter_has_one_name_in_every_report(tmp_path):
     from ifvs import format_edgelist, generate
-    from ifvs.compression import COUNTERS
+    from ifvs.compression import COUNTERS, StepRecord
 
     text = format_edgelist(generate(8, 12, 1))
     proc = run_cli("ifvs", "--k", "8", "--json", "-v", "--no-timing", stdin=text)
@@ -317,12 +316,16 @@ def test_each_counter_has_one_name_in_every_report(tmp_path):
     columns = dict(zip(header.split(","), row.split(","), strict=True))
     for name in COUNTERS:
         assert int(columns[name]) == stats[name], name
-    # every step that ran the extension stage names each counter as --json does
-    shown = [line for line in proc.stderr.splitlines() if "fvs = " in line]
-    steps = [s for s in report["steps"] if not s["skipped"]]
+    # every step names each of its counters as --json does; skipped steps
+    # are only counted in the totals
+    per_step = StepRecord._fields[3:]
+    assert COUNTERS == per_step + ("skipped",)
+    shown = [line for line in proc.stderr.splitlines() if line.startswith("step ")]
+    steps = report["steps"]
     assert len(shown) == len(steps) > 0
     for line, step in zip(shown, steps):
-        assert line.endswith(", ".join(f"{name} = {step[name]}" for name in COUNTERS))
+        assert list(step) == list(StepRecord._fields)
+        assert line.endswith(", ".join(f"{name} = {step[name]}" for name in per_step))
 
 
 def test_no_timing_strips_ms():
@@ -341,8 +344,9 @@ def test_skip_and_prune_counters_are_reported():
     proc = run_cli("ifvs", "--k", "1", "--json", "-v", stdin=C4_EDGELIST)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
-    # the first three vertices form a path, so step 3 closes no cycle
+    # the first three vertices form a path, so step 3 closes no cycle: it
+    # is counted, but records no step and prints no line
     assert report["stats"]["skipped"] == 1
-    assert [s["skipped"] for s in report["steps"]] == [True, False]
+    assert [s["prefix"] for s in report["steps"]] == [4]
     assert report["stats"]["pruned"] == sum(s["pruned"] for s in report["steps"])
-    assert "step 3: 3 vertices, skipped" in proc.stderr
+    assert "step 3" not in proc.stderr and "skipped" not in proc.stderr

@@ -12,6 +12,7 @@ from ifvs import (
     brute_min_ifvs,
     generate,
     mask_of,
+    min_ifvs_given_fvs,
     solve_fvs,
     solve_ifvs,
     subdivide,
@@ -48,12 +49,20 @@ def test_tiny_graphs():
 
 
 def prefix_optima(g):
-    """``(prefix size, optimum)`` of every compression step at budget ``n``.
+    """``(prefix size, optimum)`` of every prefix of three or more vertices
+    that a solve at budget ``n`` reaches.
 
-    ``None`` marks a prefix with no solution.  Prefixes of at most two
-    vertices are acyclic and get no step.
+    ``None`` marks a prefix with no solution, and ends the chain.  A
+    prefix with no step closed no cycle and keeps the last optimum.
     """
-    return [(step.prefix, step.min_ifvs) for step in solve_ifvs(g, g.n).stats.steps]
+    steps = {step.prefix: step.min_ifvs for step in solve_ifvs(g, g.n).stats.steps}
+    chain, val = [], 0
+    for size in range(3, g.n + 1):
+        val = steps.get(size, val)
+        chain.append((size, val))
+        if val is None:
+            break
+    return chain
 
 
 def test_prefix_chain_examples():
@@ -141,7 +150,9 @@ def test_stats_are_populated():
     assert out.stats.fallback_tests >= out.stats.fallbacks > 0
     assert out.stats.ms >= 0
     assert out.stats.f_max >= 1
-    assert len(out.stats.steps) == 3  # prefixes of size 3, 4, 5
+    # prefixes of size 3 and 4 are paths and close no cycle
+    assert [s.prefix for s in out.stats.steps] == [5]
+    assert out.stats.skipped == 2
 
 
 def test_only_cycle_closing_steps_run_the_extension():
@@ -152,12 +163,8 @@ def test_only_cycle_closing_steps_run_the_extension():
         for order_seed in (None, 1):
             out = solve_ifvs(g, 3, seed=order_seed)
             assert out.decision == "yes"
-            ran = [s for s in out.stats.steps if not s.skipped]
-            assert len(ran) == 3
-            assert out.stats.skipped == len(out.stats.steps) - 3 == n - 5
-            for step in out.stats.steps:
-                if step.skipped:
-                    assert step.candidates == step.fallbacks == step.fallback_tests == 0
+            assert len(out.stats.steps) == 3
+            assert out.stats.skipped == n - 5
 
     # a hub over three edges, then a path whose vertices all touch the hub:
     # once the hub is the optimum, the path closes no cycle without it
@@ -165,7 +172,44 @@ def test_only_cycle_closing_steps_run_the_extension():
     edges += [(v, v + 1) for v in range(7, 11)] + [(6, v) for v in range(7, 12)]
     out = solve_ifvs(Graph(12, edges), 1)
     assert out.certificate == (6,)
-    assert [s.prefix for s in out.stats.steps if not s.skipped] == [7]
+    assert [s.prefix for s in out.stats.steps] == [7]
+
+
+def test_steps_are_the_extension_calls(monkeypatch):
+    # a step is recorded exactly when the extension stage runs, and every
+    # prefix from three vertices up to where the solve stopped is either
+    # a step or a skipped count
+    import ifvs.compression
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return min_ifvs_given_fvs(*args, **kwargs)
+
+    monkeypatch.setattr(ifvs.compression, "min_ifvs_given_fvs", counted)
+    rng = random.Random(47)
+    wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, v) for v in range(5)])
+    runs = [(complete(4), 4), (wheel, 6)]  # absent
+    for _ in range(80):
+        g = random_graph(rng, n_max=12)
+        oracle = brute_min_ifvs(g)
+        runs.append((g, g.n))
+        if oracle is not None and oracle[0] > 0:
+            runs.append((g, oracle[0] - 1))
+    decisions = set()
+    for g, k in runs:
+        for seed in (None, 3):
+            calls.clear()
+            out = solve_ifvs(g, k, seed=seed)
+            decisions.add(out.decision)
+            steps = out.stats.steps
+            assert len(steps) == len(calls)
+            assert [s.prefix for s in steps] == calls
+            assert all(s.fvs_size >= 1 for s in steps)
+            last = g.n if out.decision == "yes" else steps[-1].prefix
+            assert out.stats.skipped + len(steps) == max(last - 2, 0)
+    assert decisions == {"yes", "no", "absent"}
 
 
 @st.composite

@@ -34,7 +34,6 @@ from ifvs import (
     subdivide,
 )
 from ifvs.extension import (
-    _admit,
     _degree_bound,
     _fallback_search,
     _iter_subsets,
@@ -503,17 +502,28 @@ def test_trace_marks_pruned_candidates():
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_admit_matches_the_graph_predicates(data):
+def test_rejection_reasons_match_the_graph_predicates(data):
+    # each scanned subset's trace line says "rejected (reason)" exactly
+    # when the union-find predicates reject it, independence first
+    import io
+
     g = data.draw(graphs())
-    f = data.draw(st.integers(0, g.vertex_mask))
-    for sub in _iter_subsets(f):
-        reason = _admit(g.adj, f, sub)
-        if not g.is_independent_set(sub):
-            assert reason == "not-independent"
-        elif not g.is_forest_within(f & ~sub):
-            assert reason == "cyclic-remainder"
-        else:
-            assert reason == ""
+    f = data.draw(st.integers(0, g.vertex_mask)) | mask_of(brute_min_fvs(g)[1])
+    for undeletable in (0, data.draw(st.integers(0, g.vertex_mask))):
+        sink = io.StringIO()
+        min_ifvs_given_fvs(g, f, undeletable=undeletable, trace=sink)
+        fates = {}
+        for line in sink.getvalue().splitlines()[1:]:
+            members, fate = line.removeprefix("candidate {").split("} ", 1)
+            fates[mask_of(int(v) for v in members.split(",") if v)] = fate
+        assert sorted(fates) == sorted(_iter_subsets(f & ~undeletable))
+        for sub, fate in fates.items():
+            if not g.is_independent_set(sub):
+                assert fate == "rejected (not-independent)"
+            elif not g.is_forest_within(f & ~sub):
+                assert fate == "rejected (cyclic-remainder)"
+            else:
+                assert not fate.startswith("rejected")
 
 
 def _min_extension(g, f, sub):
@@ -562,7 +572,7 @@ def test_degree_bound_is_sound(g, data):
     core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
     for u in (0, undeletable):
         for sub in _iter_subsets(f):
-            if _admit(g.adj, f, sub):
+            if not (g.is_independent_set(sub) and g.is_forest_within(f & ~sub)):
                 continue
             near = g.neighbors(sub)
             rest = _strip(g.adj, core & ~sub, near & core)

@@ -146,6 +146,15 @@ def test_solve_fvs_on_forests():
         solve_fvs(cycle(3), -1)
 
 
+def test_solve_fvs_names_its_keywords():
+    # solve_fvs sets the undeletable mask itself, so a caller's mask is
+    # refused at the call rather than clashing inside solve_ifvs
+    with pytest.raises(TypeError, match="unexpected keyword argument 'undeletable'"):
+        solve_fvs(cycle(4), 1, undeletable=1)
+    out = solve_fvs(cycle(4), 1, seed=3, threads=1)
+    assert out.decision == "yes" and len(out.certificate) == 1
+
+
 def test_solve_fvs_matches_oracle_with_pendant_trees():
     # vertices on no cycle are peeled before the solve: the decision is
     # the oracle's, and every certificate holds 2-core vertices only

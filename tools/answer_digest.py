@@ -12,7 +12,9 @@ task count, then three SHA-256 digests and the counter totals:
   and ``StepRecord`` field except ``ms``: the answers and the counted
   work;
 * ``answers=`` over each task's decision, its certificate and every
-  step's ``(prefix, fvs_size, min_ifvs, skipped)``: the answers alone;
+  step's ``(prefix, fvs_size, min_ifvs)``: the answers alone.  A step is
+  one extension call; steps that closed no cycle are only counted, in
+  ``skipped``;
 * ``optima=`` over each task's decision and certificate size only.
 
 Two checkouts that print the same ``sha256=`` gave the same answers and
@@ -53,7 +55,7 @@ def digest(w: workloads.Workload) -> tuple[int, str, str, str, dict[str, int]]:
         steps = [tuple(step) for step in st.steps]
         counters = tuple(getattr(st, name) for name in TOTALS)
         sha.update(repr((out.decision, out.certificate, counters, steps)).encode())
-        chain = [(s.prefix, s.fvs_size, s.min_ifvs, s.skipped) for s in st.steps]
+        chain = [(s.prefix, s.fvs_size, s.min_ifvs) for s in st.steps]
         answers.update(repr((out.decision, out.certificate, chain)).encode())
         size = None if out.certificate is None else len(out.certificate)
         optima.update(repr((out.decision, size)).encode())
