@@ -13,20 +13,11 @@ Result and helper types (``SolveOutcome``, ``StepRecord``,
 """
 
 from .compression import solve_ifvs
-from .extension import (
-    INFEASIBLE,
-    NotAnFvsError,
-    min_ifvs_given_fvs,
-)
+from .extension import NotAnFvsError, min_ifvs_given_fvs
 from .generator import generate
 from .graph import Graph, GraphError, bits, mask_of
 from .io import ParseError, format_edgelist, load_graph, parse_dimacs, parse_edgelist
-from .oracle import (
-    TooLargeError,
-    brute_min_fvs,
-    brute_min_ifvs,
-    brute_min_ifvs_extension,
-)
+from .oracle import TooLargeError, brute_min_fvs, brute_min_ifvs
 from .reduction import solve_fvs, subdivide
 
 __version__ = "0.1.0"
@@ -34,14 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "GraphError",
-    "INFEASIBLE",
     "NotAnFvsError",
     "ParseError",
     "TooLargeError",
     "bits",
     "brute_min_fvs",
     "brute_min_ifvs",
-    "brute_min_ifvs_extension",
     "format_edgelist",
     "generate",
     "load_graph",

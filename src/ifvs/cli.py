@@ -20,7 +20,7 @@ from .bench import DECISION_LABELS
 from .compression import COUNTERS, SolveOutcome, solve_ifvs
 from .generator import generate
 from .graph import Graph
-from .io import FORMATS, ParseError, format_edgelist, load_graph
+from .io import ParseError, format_edgelist, load_graph
 from .oracle import TooLargeError, brute_min_fvs, brute_min_ifvs
 from .reduction import solve_fvs
 
@@ -45,16 +45,14 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_input(args: argparse.Namespace) -> Graph:
-    return load_graph(_read_text(args.input), args.format)
+    return load_graph(_read_text(args.input))
 
 
 def _add_solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="solution size budget")
     p.add_argument("--input", default="-", help="instance path ('-' for stdin)")
-    p.add_argument("--format", choices=FORMATS, default="auto")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--trace", action="store_true", help="per-candidate trace on stderr")
-    p.add_argument("--seed", type=int, default=None, help="shuffle the insertion order")
     p.add_argument(
         "--no-timing",
         action="store_true",
@@ -97,7 +95,6 @@ def _cmd_solve(args: argparse.Namespace, problem: str) -> int:
         raise UsageError("--k must be non-negative")
     g = _load_input(args)
     kwargs = dict(
-        seed=args.seed,
         trace=sys.stderr if args.trace else None,
         progress=(lambda line: print(line, file=sys.stderr)) if args.verbose else None,
     )
@@ -163,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force reference answer (small n)")
     p_oracle.add_argument("--problem", choices=("ifvs", "fvs"), default="ifvs")
     p_oracle.add_argument("--input", default="-")
-    p_oracle.add_argument("--format", choices=FORMATS, default="auto")
 
     p_gen = sub.add_parser("gen", help="generate a reproducible random instance")
     p_gen.add_argument("--n", type=int, required=True)

@@ -15,14 +15,16 @@ and still an FVS, and prefix optima never shrink, so it is still
 minimum.  A skipped step only adds one to ``SolveStats.skipped``.  Only
 a step that closes a cycle calls the extension stage, which also
 receives the old optimum as a lower bound, and records a
-:class:`StepRecord`.  Its prefix graph is sliced from the graph
-relabelled by insertion position, built once per solve, and the
-extension stage checks once that its input is an FVS.
+:class:`StepRecord`.
+
+Vertices are inserted in input order; the method is correct for any
+order, so the order is not an input.  The edges are sorted by their
+later endpoint once per solve, so a step's prefix graph is a slice of
+the graph, and the extension stage checks once that its input is an FVS.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from bisect import bisect_left
 from operator import itemgetter
@@ -103,33 +105,11 @@ class SolveOutcome(NamedTuple):
     stats: SolveStats
 
 
-def _relabel(g: Graph, order: list[int]) -> Graph:
-    """``g`` with vertex ``order[i]`` renamed ``i``.
-
-    Edges are sorted by their later endpoint, so the edges among the
-    first ``size`` vertices are a prefix of ``edges``.
-    """
-    local = [0] * g.n
-    for i, v in enumerate(order):
-        local[v] = i
-    adj = [0] * g.n
-    later: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        a, b = local[u], local[v]
-        if a > b:
-            a, b = b, a
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        later.append((b, a))
-    later.sort()
-    return Graph.trusted(tuple(adj), tuple([(a, b) for b, a in later]))
-
-
 def _prefix_graph(h: Graph, size: int) -> Graph:
     """Subgraph of ``h`` on its first ``size`` vertices.
 
-    ``h`` comes from :func:`_relabel`: the edges are a slice, and each
-    row only loses its later neighbours.  Earlier prefixes keep their ids.
+    ``h`` keeps its edges sorted by later endpoint, so the edges are a
+    slice, and each row only loses its later neighbours.
     """
     keep = (1 << size) - 1
     m = bisect_left(h.edges, size, key=itemgetter(1))
@@ -155,7 +135,6 @@ def solve_ifvs(
     g: Graph,
     k: int,
     *,
-    seed: int | None = None,
     threads: int = 1,
     undeletable: int = 0,
     trace: TextIO | None = None,
@@ -167,10 +146,8 @@ def solve_ifvs(
     exceeds ``k``, or "absent" when no such set of any size exists.  A
     solution may hold no vertex of the mask ``undeletable``; each prefix
     optimum then avoids it too, and still bounds the next from below.
-    Vertices are inserted in input order, or in an order that ``seed``
-    shuffles reproducibly.  ``trace`` names vertices by insertion
-    position, so a shuffled order is written to it first, as one
-    ``order:`` line of the input id at each position.  ``threads`` has
+    Vertices are inserted in input order, so every prefix, step and
+    ``trace`` line names vertices by their input ids.  ``threads`` has
     no effect; it is kept only because the committed benchmark runner,
     ``perfbench/run.py``, passes ``threads=1``.
     """
@@ -178,17 +155,11 @@ def solve_ifvs(
         raise ValueError("k must be non-negative")
     t0 = time.perf_counter()
     stats = SolveStats()
-    order = list(range(g.n))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-        if trace is not None and order != sorted(order):
-            trace.write("order: " + " ".join(map(str, order)) + "\n")
-    h = _relabel(g, order)
-    # the undeletable vertices by insertion position; a prefix gets its slice
-    blocked = mask_of(i for i, v in enumerate(order) if undeletable >> v & 1) if undeletable else 0
+    # edges sorted by later endpoint: each prefix graph is a slice of h
+    h = Graph.trusted(g.adj, tuple(sorted(g.edges, key=itemgetter(1, 0))))
 
     decision = "yes"
-    current: tuple[int, ...] = ()  # prefix optimum, local ids
+    current: tuple[int, ...] = ()  # prefix optimum, ascending
     current_mask = 0
     parent = list(range(g.n))  # union-find over the prefix minus current
     for size in range(1, g.n + 1):
@@ -210,7 +181,7 @@ def solve_ifvs(
         outcome = min_ifvs_given_fvs(
             prefix,
             fvs_input,
-            undeletable=blocked & ((1 << size) - 1),
+            undeletable=undeletable & ((1 << size) - 1),
             lower=len(current),
             trace=trace,
         )
@@ -244,7 +215,7 @@ def solve_ifvs(
 
     certificate = None
     if decision == "yes":
-        certificate = tuple(sorted(order[p] for p in current))
+        certificate = current
         chosen = mask_of(certificate)
         assert g.is_ifvs(chosen) and not chosen & undeletable
         assert len(certificate) <= k

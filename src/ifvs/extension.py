@@ -41,8 +41,6 @@ from typing import Iterator, NamedTuple, TextIO
 
 from .graph import Graph, bits
 
-INFEASIBLE = math.inf
-
 
 class NotAnFvsError(ValueError):
     """The provided set is not a feedback vertex set of the graph."""
@@ -295,7 +293,7 @@ def min_ifvs_given_fvs(
         queue.append((max(size + t, lower), size, sub, rest, deletable, 0))
     heapq.heapify(queue)  # (key, size, bitmask) never ties
 
-    best_total: float = INFEASIBLE
+    best_total: float = math.inf
     best_cert: int | None = None
     while queue:
         key, size, sub, rest, deletable, nodes = heapq.heappop(queue)

@@ -80,9 +80,6 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def neighbors(self, vs: int) -> int:
         """Every vertex joined by an edge to some vertex of ``vs``.
 
@@ -135,9 +132,6 @@ class Graph:
             rest &= ~comp
         return comps
 
-    def connected_components(self) -> list[int]:
-        return self.components_within(self.vertex_mask)
-
     def is_forest_within(self, vs: int) -> bool:
         """True iff the subgraph induced on ``vs`` is acyclic."""
         # inline union-find with path halving; this is the hottest
@@ -153,9 +147,6 @@ class Graph:
                     return False
                 parent[u] = v
         return True
-
-    def is_acyclic(self) -> bool:
-        return self.is_forest_within(self.vertex_mask)
 
     def is_independent_set(self, vs: int) -> bool:
         for v in bits(vs):

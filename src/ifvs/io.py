@@ -3,14 +3,14 @@
 Edge-list format: first line ``n m``, then ``m`` lines ``u v`` with
 0-based ids.  DIMACS format: ``c`` comment lines, one ``p edge n m``
 line, then ``m`` lines ``e u v`` with 1-based ids.  Every count and id
-is a run of ASCII digits.
+is a run of ASCII digits.  :func:`load_graph` detects the format from
+the text; a caller who knows it calls :func:`parse_edgelist` or
+:func:`parse_dimacs`.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
-
-FORMATS = ("auto", "edgelist", "dimacs")
+from .graph import Graph, GraphError
 
 # Header counts are checked before anything is allocated from them.
 # Adjacency rows are bitmasks, so n vertices may hold up to n * n / 8
@@ -129,7 +129,7 @@ def parse_edgelist(text: str) -> Graph:
         )
     try:
         return Graph(header[0], edges)
-    except Exception as exc:
+    except GraphError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -169,16 +169,13 @@ def parse_dimacs(text: str) -> Graph:
         )
     try:
         return Graph(n, edges)
-    except Exception as exc:
+    except GraphError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def load_graph(text: str, fmt: str = "auto") -> Graph:
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if fmt == "auto":
-        fmt = detect_format(text)
-    return parse_edgelist(text) if fmt == "edgelist" else parse_dimacs(text)
+def load_graph(text: str) -> Graph:
+    """Parse ``text`` in the format :func:`detect_format` finds."""
+    return parse_edgelist(text) if detect_format(text) == "edgelist" else parse_dimacs(text)
 
 
 def format_edgelist(g: Graph) -> str:

@@ -33,20 +33,6 @@ def brute_min_ifvs(g: Graph) -> tuple[int, tuple[int, ...]] | None:
     return None
 
 
-def brute_min_ifvs_extension(
-    g: Graph, f: int
-) -> tuple[int, tuple[int, ...]] | None:
-    """Minimum IFVS of ``g``, with the precondition that ``f`` is an FVS.
-
-    Same answer as :func:`brute_min_ifvs`; the separate entry point pins
-    the interface of :func:`ifvs.extension.min_ifvs_given_fvs`.
-    """
-    _check_size(g)
-    if not g.is_fvs(f):
-        raise ValueError("given set is not a feedback vertex set")
-    return brute_min_ifvs(g)
-
-
 def brute_min_fvs(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact minimum feedback vertex set (always exists)."""
     _check_size(g)

@@ -61,7 +61,6 @@ def solve_fvs(
     g: Graph,
     k: int,
     *,
-    seed: int | None = None,
     threads: int = 1,
     trace: TextIO | None = None,
     progress: Callable[[str], None] | None = None,
@@ -70,11 +69,13 @@ def solve_fvs(
 
     Runs the independent-set solver on the subdivided 2-core of ``g``
     with every subdivision vertex undeletable, so the certificate holds
-    kernel vertices only, and maps it back to ``g``.  The keyword
-    arguments pass through to :func:`ifvs.compression.solve_ifvs`;
-    ``trace`` and ``progress`` first get one ``kernel:`` line that lists
-    the ids in ``g`` of kernel vertices ``0..n'-1``, since the steps and
-    the trace count kernel vertices.
+    kernel vertices only, and maps it back to ``g``.  The solver inserts
+    the kernel vertices first, in the order of their ids in ``g``, then
+    the subdivision vertices.  The keyword arguments pass through to
+    :func:`ifvs.compression.solve_ifvs`; ``trace`` and ``progress`` first
+    get one ``kernel:`` line that lists the ids in ``g`` of kernel
+    vertices ``0..n'-1``, since the steps and the trace count kernel
+    vertices.
     """
     core = _strip(g.adj, g.vertex_mask, g.vertex_mask)  # vertices on no cycle go
     h, ids = g.induced_subgraph(core)  # ids ascending
@@ -89,7 +90,6 @@ def solve_fvs(
     outcome = solve_ifvs(
         sub,
         k,
-        seed=seed,
         threads=threads,
         undeletable=sub.vertex_mask & ~h.vertex_mask,
         trace=trace,

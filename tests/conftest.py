@@ -66,6 +66,12 @@ def random_graph(rng: random.Random, n_max: int = 12, m_cap: int | None = None) 
     return Graph(n, rng.sample(pairs, m))
 
 
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """``g`` with vertex ``v`` renamed ``perm[v]``: the solver inserts in
+    input order, so this is how a test changes the insertion order."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def hang_trees(g: Graph, rng: random.Random, leaves: int, isolated: int) -> Graph:
     """``g`` with ``leaves`` tree vertices and ``isolated`` lone ones added.
 

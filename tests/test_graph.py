@@ -41,8 +41,8 @@ def test_induced_subgraph_c5_minus_vertex_is_p4():
         sub, old = g.induced_subgraph(g.vertex_mask & ~(1 << drop))
         # four vertices, three edges, acyclic and connected: a path
         assert sub.n == 4 and sub.m == 3
-        assert sub.is_acyclic()
-        assert len(sub.connected_components()) == 1
+        assert sub.is_fvs(0)
+        assert len(sub.components_within(sub.vertex_mask)) == 1
 
 
 def test_induced_subgraph_full_is_identity():
@@ -63,18 +63,18 @@ def test_neighbors():
 
 
 def test_is_acyclic():
-    assert not cycle(3).is_acyclic()
-    assert path(6).is_acyclic()
-    assert star(4).is_acyclic()
+    assert not cycle(3).is_fvs(0)
+    assert path(6).is_fvs(0)
+    assert star(4).is_fvs(0)
     two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert not two_triangles.is_acyclic()
+    assert not two_triangles.is_fvs(0)
 
 
 def test_connected_components():
-    assert Graph(3).connected_components() == [1, 2, 4]
-    assert path(3).connected_components() == [mask_of([0, 1, 2])]
+    assert Graph(3).components_within(0b111) == [1, 2, 4]
+    assert path(3).components_within(0b111) == [mask_of([0, 1, 2])]
     g = Graph(4, [(0, 1), (1, 2), (2, 0)])
-    assert g.connected_components() == [mask_of([0, 1, 2]), mask_of([3])]
+    assert g.components_within(g.vertex_mask) == [mask_of([0, 1, 2]), mask_of([3])]
 
 
 def test_is_independent_set():
@@ -107,7 +107,7 @@ def test_components_partition_random():
     rng = random.Random(12)
     for _ in range(200):
         g = random_graph(rng)
-        comps = g.connected_components()
+        comps = g.components_within(g.vertex_mask)
         union = 0
         for c in comps:
             assert union & c == 0
@@ -121,7 +121,7 @@ def test_acyclicity_agrees_with_component_edge_count():
     for _ in range(1000):
         g = random_graph(rng, n_max=12)
         expected = True
-        for comp in g.connected_components():
+        for comp in g.components_within(g.vertex_mask):
             n_c = comp.bit_count()
             m_c = sum(
                 1 for u, v in g.edges if comp >> u & 1 and comp >> v & 1
@@ -129,4 +129,4 @@ def test_acyclicity_agrees_with_component_edge_count():
             if m_c != n_c - 1:
                 expected = False
                 break
-        assert g.is_acyclic() == expected
+        assert g.is_fvs(0) == expected

@@ -167,3 +167,15 @@ def test_dimacs_comment_lines_start_with_a_lone_c(first):
     assert err.value.line_no == 1 and "line 1" in str(err.value)
     triangle = parse_dimacs("c\nc a comment\n\tc indented\np edge 3 3\ne 1 2\ne 2 3\ne 3 1\n")
     assert triangle.m == 3
+
+
+@pytest.mark.parametrize(("parse", "text"), [(parse_edgelist, EDGELIST), (parse_dimacs, DIMACS)])
+def test_only_graph_errors_become_parse_errors(monkeypatch, parse, text):
+    # every input fault is caught at its own line; any other failure of
+    # the graph build is not about the input and must propagate
+    def broken(n, edges):
+        raise RuntimeError("not about the input")
+
+    monkeypatch.setattr("ifvs.io.Graph", broken)
+    with pytest.raises(RuntimeError, match="not about the input"):
+        parse(text)

@@ -1,14 +1,7 @@
 import pytest
 
 from conftest import complete, cycle, path, star
-from ifvs import (
-    Graph,
-    TooLargeError,
-    brute_min_fvs,
-    brute_min_ifvs,
-    brute_min_ifvs_extension,
-    mask_of,
-)
+from ifvs import Graph, TooLargeError, brute_min_fvs, brute_min_ifvs
 
 
 def test_small_answers():
@@ -37,12 +30,6 @@ def test_certificates_are_lexicographically_first():
     g = cycle(6)
     size, cert = brute_min_ifvs(g)
     assert size == 1 and cert == (0,)  # all six singletons work; 0 wins
-
-
-def test_extension_entry_point_checks_precondition():
-    with pytest.raises(ValueError):
-        brute_min_ifvs_extension(cycle(4), 0)
-    assert brute_min_ifvs_extension(cycle(4), mask_of([0])) == (1, (0,))
 
 
 def test_size_guard():
