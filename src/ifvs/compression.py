@@ -50,6 +50,7 @@ class StepRecord(NamedTuple):
     fallback_tests: int  # search nodes of those searches
     pruned: int  # candidates the extension stage pruned
     bound_pruned: int  # of those, pruned by their key before any search level
+    bounded: int  # candidates whose search state and degree bound were built
 
 
 class SolveStats:
@@ -66,6 +67,7 @@ class SolveStats:
         "fallback_tests",
         "pruned",
         "bound_pruned",  # pruned candidates whose search never ran
+        "bounded",  # candidates whose search state and degree bound were built
         "skipped",  # steps that closed no cycle and ran no extension
         "ms",
         "f_max",  # largest FVS handed to the extension stage
@@ -74,7 +76,7 @@ class SolveStats:
 
     def __init__(self) -> None:
         self.candidates = self.fallbacks = self.fallback_tests = 0
-        self.pruned = self.bound_pruned = self.skipped = self.f_max = 0
+        self.pruned = self.bound_pruned = self.bounded = self.skipped = self.f_max = 0
         self.ms = 0.0
         self.steps: list[StepRecord] = []
 
@@ -195,6 +197,7 @@ def solve_ifvs(
             fallback_tests=ext.fallback_tests,
             pruned=ext.pruned,
             bound_pruned=ext.bound_pruned,
+            bounded=ext.bounded,
         )
         stats.add(step)
         if progress is not None:

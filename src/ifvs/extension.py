@@ -17,20 +17,27 @@ so the rest of ``f`` is acyclic iff its part inside the 2-core of ``G``
 strips to nothing (see :func:`_strip`).
 
 Candidates wait in one queue keyed by a proven lower bound on their
-exact total, least first.  Admission computes each candidate's search
-state once, from the same neighbours: the 2-core of ``G`` minus the
-candidate and the vertices of that core it may delete.  A candidate
-enters at its size plus the degree bound (see :func:`_degree_bound`) of
-that state, or at a caller-supplied lower bound on the optimum if
-higher; one whose bound shows that no deletable vertices can clear the
-core is infeasible and never enters.
-Each time a candidate leaves the queue, one search level, started from
-its state, looks for an extension that fills the gap between its key and
-its size.  If there is none, the candidate goes back one key higher,
-until the gap covers every vertex it may delete.  An entry whose key
-reaches the best total found so far is *pruned*.  So no search tries a
-size that a known total rules out, and the optimum is never below the
-smaller of the best total and the least key in the queue.
+exact total, least first.  The scan needs only each candidate's
+neighbours, so a candidate enters at its size, or at a caller-supplied
+lower bound on the optimum if higher, carrying just those neighbours.
+When it first leaves the queue it is *bounded*: its search state is
+built from the neighbours, the 2-core of ``G`` minus the candidate and
+the vertices of that core it may delete, with the degree bound of that
+state (see :func:`_degree_bound`).  One whose bound shows that no
+deletable vertices can clear the core is infeasible and dropped;
+otherwise it goes back in at its size plus the bound, or at the lower
+bound if higher, and stays in front when that key still leads.  Keys
+only rise to their true value, so the searches run in the order they
+would if every candidate were bounded on entry, and a candidate pruned
+before it is bounded never builds its state.
+Each time a bounded candidate leaves the queue, one search level,
+started from its state, looks for an extension that fills the gap
+between its key and its size.  If there is none, the candidate goes
+back one key higher, until the gap covers every vertex it may delete.
+An entry whose key reaches the best total found so far is *pruned*.
+So no search tries a size that a known total rules out, and the optimum
+is never below the smaller of the best total and the least key in the
+queue.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ class NotAnFvsError(ValueError):
 
 
 class ExtensionStats:
-    """Counters of one :func:`min_ifvs_given_fvs` call, filled during the scan.
+    """Counters of one :func:`min_ifvs_given_fvs` call, filled by its scan and queue.
 
     A slotted class; every counter starts at 0.
     """
@@ -59,11 +66,12 @@ class ExtensionStats:
         "fallback_tests",  # search nodes of those searches
         "pruned",  # accepted candidates that could not beat the best total
         "bound_pruned",  # of those, pruned by their key before any search level
+        "bounded",  # accepted candidates whose search state and degree bound were built
     )
 
     def __init__(self) -> None:
         self.candidates_scanned = self.candidates_accepted = 0
-        self.fallbacks = self.fallback_tests = self.pruned = self.bound_pruned = 0
+        self.fallbacks = self.fallback_tests = self.pruned = self.bound_pruned = self.bounded = 0
 
 
 class ExtensionOutcome(NamedTuple):
@@ -176,7 +184,7 @@ def _degree_bound(adj: tuple[int, ...], core: int, deletable: int) -> tuple[int,
 
 
 def _fallback_search(
-    adj: tuple[int, ...], core: int, allowed: int, budget: int
+    adj: tuple[int, ...], core: int, allowed: int, budget: int, start: int = -1
 ) -> tuple[int | None, int]:
     """One level of the exact search that decides each candidate.
 
@@ -188,13 +196,17 @@ def _fallback_search(
     of ``allowed``.  A deletion re-strips the core only from the deleted
     vertex's neighbours, and a node whose bound exceeds its budget ends
     there.  The keep branch is the next pass of a loop, not a call, so
-    the recursion is at most ``budget + 1`` deep.  ``tests`` counts
-    search nodes.  Returns ``(extension_mask, tests)``; the mask holds at
-    most ``budget`` vertices, and is None when no such set is that small.
+    the recursion is at most ``budget + 1`` deep.  A caller that already
+    bounded ``core`` and ``allowed`` passes the vertex
+    :func:`_degree_bound` returned as ``start``, with a bound of at most
+    ``budget``; the root's first pass then branches on it without
+    bounding again.  ``tests`` counts search nodes.  Returns
+    ``(extension_mask, tests)``; the mask holds at most ``budget``
+    vertices, and is None when no such set is that small.
     """
     tests = 0
 
-    def dfs(core: int, deleted: int, allowed: int, budget: int) -> int | None:
+    def dfs(core: int, deleted: int, allowed: int, budget: int, v: int = -1) -> int | None:
         nonlocal tests
         while True:
             tests += 1
@@ -202,12 +214,13 @@ def _fallback_search(
                 return deleted
             if not budget:
                 return None
-            # a non-empty 2-core has m - n + c >= 1, so with no deletable
-            # vertex in it the bound is len(adj) + 1, past every budget the
-            # solver passes (at most n): v >= 0 below
-            t, v = _degree_bound(adj, core, allowed)
-            if t > budget:
-                return None
+            if v < 0:
+                # a non-empty 2-core has m - n + c >= 1, so with no deletable
+                # vertex in it the bound is len(adj) + 1, past every budget
+                # the solver passes (at most n): v >= 0 below
+                t, v = _degree_bound(adj, core, allowed)
+                if t > budget:
+                    return None
             bit = 1 << v
             found = dfs(
                 _strip(adj, core ^ bit, adj[v] & core),
@@ -218,8 +231,9 @@ def _fallback_search(
             if found is not None:
                 return found
             allowed ^= bit  # keep v
+            v = -1
 
-    ext = dfs(core, 0, allowed, budget)
+    ext = dfs(core, 0, allowed, budget, start)
     return ext, tests
 
 
@@ -245,8 +259,9 @@ def min_ifvs_given_fvs(
     :class:`NotAnFvsError` when ``f`` is not an FVS or holds a vertex
     outside ``g``, and ``AssertionError`` on an invalid assembled set.
     ``trace`` receives one ``extension:`` line, then one line per scanned
-    subset once it is rejected, found infeasible or leaves the queue for
-    good.
+    subset: a rejected one during the scan, and every other one when it
+    leaves the queue for good, infeasible once bounded, or pruned, found
+    or exhausted.
     """
     if f & ~g.vertex_mask or not g.is_fvs(f):
         raise NotAnFvsError("the provided set is not a feedback vertex set")
@@ -262,9 +277,10 @@ def min_ifvs_given_fvs(
     if trace is not None:
         trace.write(f"extension: {g.n} vertices, fvs {{{','.join(map(str, bits(f)))}}}\n")
 
-    # one queue, least key first: (key, size, bitmask, 2-core of G - sub,
-    # its deletable vertices, search nodes so far); a search level can
-    # delete at most every deletable vertex
+    # one queue, least key first: (key, size, bitmask, neighbours, search
+    # state, search nodes so far); the state is None until the candidate
+    # is bounded, then (2-core of G - sub, its deletable vertices, the
+    # vertex to branch on first)
     core = _strip(adj, g.vertex_mask, g.vertex_mask)
     queue: list[tuple] = []
     for sub in _iter_subsets(scan):
@@ -280,30 +296,39 @@ def min_ifvs_given_fvs(
                 note(sub, f"rejected ({reason})")
             continue
         stats.candidates_accepted += 1
-        # the 2-core of G - sub: only sub's neighbours lost degree
-        rest = _strip(adj, core & ~sub, near & core)
-        deletable = rest & ~(f | near | undeletable)
-        t = _degree_bound(adj, rest, deletable)[0]
-        if t > g.n:
-            # no deletable vertices clear the core: never a search budget
-            if trace is not None:
-                note(sub, "infeasible")
-            continue
         size = sub.bit_count()
-        queue.append((max(size + t, lower), size, sub, rest, deletable, 0))
+        queue.append((max(size, lower), size, sub, near, None, 0))
     heapq.heapify(queue)  # (key, size, bitmask) never ties
 
     best_total: float = math.inf
     best_cert: int | None = None
-    while queue:
-        key, size, sub, rest, deletable, nodes = heapq.heappop(queue)
+    entry = heapq.heappop(queue) if queue else None
+    while entry is not None:
+        key, size, sub, near, state, nodes = entry
         if key >= best_total:
             stats.pruned += 1
             stats.bound_pruned += not nodes
             fate = "pruned"
+        elif state is None:
+            stats.bounded += 1
+            # the 2-core of G - sub: only sub's neighbours lost degree
+            rest = _strip(adj, core & ~sub, near & core)
+            deletable = rest & ~(f | near | undeletable)
+            t, top = _degree_bound(adj, rest, deletable)
+            if t <= g.n:
+                # back in at the real key; pushpop keeps it out of the
+                # heap while it still leads
+                entry = heapq.heappushpop(
+                    queue, (max(size + t, key), size, sub, near, (rest, deletable, top), 0)
+                )
+                continue
+            fate = "infeasible"  # no deletable vertices clear the core
         else:
+            rest, deletable, top = state
             stats.fallbacks += not nodes
-            ext, more = _fallback_search(adj, rest, deletable, key - size)
+            # every level searches from the same root, so the bounding's
+            # vertex serves each of them
+            ext, more = _fallback_search(adj, rest, deletable, key - size, top)
             stats.fallback_tests += more
             nodes += more
             if ext is not None:
@@ -313,12 +338,13 @@ def min_ifvs_given_fvs(
                 best_cert = sub | ext
                 fate = "found"
             elif key - size < deletable.bit_count():
-                heapq.heappush(queue, (key + 1, size, sub, rest, deletable, nodes))
+                entry = heapq.heappushpop(queue, (key + 1, size, sub, near, state, nodes))
                 continue
             else:
                 fate = "exhausted"
         if trace is not None:
-            note(sub, f"key={key} nodes={nodes} {fate}")
+            note(sub, fate if fate == "infeasible" else f"key={key} nodes={nodes} {fate}")
+        entry = heapq.heappop(queue) if queue else None
 
     if best_cert is None:
         return ExtensionOutcome(size=None, certificate=None, stats=stats)

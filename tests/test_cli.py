@@ -235,7 +235,8 @@ def test_bound_pruned_counter_is_reported():
     assert stats["bound_pruned"] <= stats["pruned"]
     assert all(s["bound_pruned"] <= s["pruned"] for s in steps)
     assert all(
-        f"pruned = {s['pruned']}, bound_pruned = {s['bound_pruned']}\n" in proc.stderr
+        f"pruned = {s['pruned']}, bound_pruned = {s['bound_pruned']}, bounded = {s['bounded']}\n"
+        in proc.stderr
         for s in steps
     )
     assert proc.stderr.count(" nodes=0 pruned") == 8
@@ -291,7 +292,7 @@ def test_bench_subcommand(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == (
         "n,m,k,decision,cert_size,ms,candidates,"
-        "fallbacks,fallback_tests,pruned,skipped,bound_pruned"
+        "fallbacks,fallback_tests,pruned,skipped,bound_pruned,bounded"
     )
     assert len(lines) == 3
 

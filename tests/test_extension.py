@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 
@@ -336,7 +337,9 @@ def test_counters_match_the_candidate_scan():
         assert stats.candidates_scanned == 2 ** f.bit_count()
         assert stats.candidates_accepted == len(cands)
         assert stats.bound_pruned <= stats.pruned <= stats.candidates_accepted
-        assert stats.fallbacks <= stats.candidates_accepted
+        assert stats.fallbacks <= stats.bounded <= stats.candidates_accepted
+        # a candidate is never bounded only when it is pruned at its first key
+        assert stats.candidates_accepted - stats.bounded <= stats.bound_pruned
 
 
 def _masked_corpus(seed):
@@ -456,15 +459,16 @@ def test_trace_output():
         "candidate {} key=1 nodes=2 found",
         "candidate {0} key=1 nodes=0 pruned",
     ]
-    # rejected and infeasible subsets are written during the scan, the
-    # others as they leave the queue for good, and an exhausted search
-    # shows every node of its levels
+    # rejected subsets are written during the scan, the others as they
+    # leave the queue for good: {} is bounded first and goes back at key
+    # 2, so {0} and {1} are bounded, and found infeasible, before its
+    # search; an exhausted search shows every node of its levels
     sink = io.StringIO()
     assert min_ifvs_given_fvs(complete(4), mask_of([0, 1]), trace=sink).absent
     assert sink.getvalue().splitlines()[1:] == [
+        "candidate {0,1} rejected (not-independent)",
         "candidate {0} infeasible",
         "candidate {1} infeasible",
-        "candidate {0,1} rejected (not-independent)",
         "candidate {} key=2 nodes=3 exhausted",
     ]
 
@@ -593,15 +597,18 @@ def test_degree_bound_is_sound(g, data):
 def test_trace_marks_bound_pruned_candidates():
     import io
 
-    # two disjoint triangles with f = {0, 3}: the empty candidate enters
-    # at its degree bound 2 and its search finds 2 deletions; each
-    # one-vertex candidate leaves the other triangle, whose bound of 1
-    # fills its gap, so it is pruned before any search level
+    # two disjoint triangles with f = {0, 3}: the empty candidate is
+    # bounded at 2 and its search finds 2 deletions; each one-vertex
+    # candidate is bounded at key 1, and leaves the other triangle, whose
+    # bound of 1 fills its gap, so it is pruned before any search level.
+    # {0,3} enters at its size 2, which the best total prunes before it
+    # is ever bounded
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     sink = io.StringIO()
     out = min_ifvs_given_fvs(g, mask_of([0, 3]), trace=sink)
     assert out.size == 2
     assert (out.stats.pruned, out.stats.bound_pruned, out.stats.fallbacks) == (3, 3, 1)
+    assert (out.stats.candidates_accepted, out.stats.bounded) == (4, 3)
     text = sink.getvalue()
     assert "candidate {} key=2 nodes=3 found\n" in text
     assert "candidate {0} key=2 nodes=0 pruned\n" in text
@@ -625,3 +632,118 @@ def test_infeasible_candidates_run_no_search():
     searched = [line for line in lines if " nodes=" in line]
     assert searched == ["candidate {} key=2 nodes=3 exhausted"]
     assert solve_ifvs(complete(4), 5).decision == "absent"
+
+
+def _eager_keys(g, f, undeletable, lower):
+    """Each accepted candidate's key as if bounded on entry; None if infeasible."""
+    core = _strip(g.adj, g.vertex_mask, g.vertex_mask)
+    keys = {}
+    for sub in enumerate_candidates(g, f, undeletable=undeletable):
+        near = g.neighbors(sub)
+        rest = _strip(g.adj, core & ~sub, near & core)
+        t = _degree_bound(g.adj, rest, rest & ~(f | near | undeletable))[0]
+        keys[sub] = None if t > g.n else max(sub.bit_count() + t, lower)
+    return keys
+
+
+def _check_lazy_queue(g, f, undeletable, lower, optimum):
+    """Run the extension stage traced and hold each line to the eager keys."""
+    import io
+
+    sink = io.StringIO()
+    out = min_ifvs_given_fvs(g, f, undeletable=undeletable, lower=lower, trace=sink)
+    assert out.size == optimum, (g.edges, f, undeletable, lower)
+    if optimum is not None:
+        chosen = mask_of(out.certificate)
+        assert g.is_ifvs(chosen) and not chosen & undeletable
+    keys = _eager_keys(g, f, undeletable, lower)
+    best = math.inf if optimum is None else optimum
+    left, found, infeasible, unsearched, unbounded = [], 0, 0, 0, 0
+    for line in sink.getvalue().splitlines()[1:]:
+        members, fate = line.removeprefix("candidate {").split("} ", 1)
+        sub = mask_of(int(v) for v in members.split(",") if v)
+        size = sub.bit_count()
+        if fate.startswith("rejected"):
+            assert sub not in keys
+            continue
+        eager = keys.pop(sub)
+        if fate == "infeasible":
+            assert eager is None
+            infeasible += 1
+            continue
+        key, nodes, end = (part.split("=")[-1] for part in fate.split())
+        key, nodes = int(key), int(nodes)
+        if nodes == 0:
+            # pruned at its eager key, or at its first key before it was
+            # bounded; an infeasible one only then.  A key below the
+            # optimum would have been searched
+            assert end == "pruned" and key >= best
+            if eager is None:
+                assert key == max(size, lower)
+            else:
+                assert max(size, lower) <= key <= eager
+            unsearched += 1
+            unbounded += eager is None or key < eager
+            continue
+        # a searched candidate starts at its eager key and rises from it;
+        # one whose eager key passes the optimum is never searched
+        assert eager is not None and eager <= key and eager <= best
+        if end != "pruned":
+            left.append((key, size, sub))
+        if end == "found":
+            assert key == optimum
+            found += 1
+    assert not keys  # every accepted candidate has one line
+    assert found == (optimum is not None)
+    # the searches that settled a candidate ran in (key, size, bitmask) order
+    assert left == sorted(left)
+    stats = out.stats
+    # every candidate but those pruned unsearched is bounded, and those
+    # pruned below their eager key never were
+    assert infeasible + stats.fallbacks <= stats.bounded
+    assert stats.candidates_accepted - unsearched <= stats.bounded
+    assert stats.bounded <= stats.candidates_accepted - unbounded
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lazy_bounding_keeps_the_eager_order_and_optimum(data):
+    # every candidate's eager key comes from _strip and _degree_bound as
+    # admission once computed it; the trace must match it: no search
+    # starts below it or runs once it passes the optimum, the searches
+    # settle candidates in (key, size, bitmask) order, and the optimum is
+    # the brute-force one.  IFVS runs with and without an undeletable
+    # mask, and FVS on the subdivided graph, each under a lower bound
+    # drawn up to the optimum
+    g = data.draw(graphs(max_n=8, max_m=14))
+    f = data.draw(st.integers(0, g.vertex_mask)) | mask_of(brute_min_fvs(g)[1])
+    u = data.draw(st.integers(0, g.vertex_mask))
+    best = brute_min_ifvs(g)
+    h = subdivide(g)
+    cases = [
+        (g, 0, None if best is None else best[0]),
+        (g, u, _brute_min_avoiding(g, u)),
+        (h, h.vertex_mask & ~g.vertex_mask, brute_min_fvs(g)[0]),
+    ]
+    for graph, undeletable, optimum in cases:
+        lower = data.draw(st.integers(0, graph.n if optimum is None else optimum))
+        _check_lazy_queue(graph, f, undeletable, lower, optimum)
+
+
+def test_search_from_the_bounding_vertex_matches_a_fresh_root():
+    # started from the vertex that bounding the candidate returned, the
+    # search gives the same extension and node count at every budget the
+    # queue can pass it, plain and under an undeletable mask outside f
+    rng = random.Random(94)
+    checked = 0
+    for g, f in _fvs_corpus(95, 80):
+        u = mask_of(v for v in bits(g.vertex_mask & ~f) if rng.random() < 0.3)
+        for mask in (0, u):
+            for sub in enumerate_candidates(g, f, undeletable=mask):
+                core, allowed = _search_state(g, f, sub, mask)
+                t, top = _degree_bound(g.adj, core, allowed)
+                for budget in range(t, allowed.bit_count() + 1):
+                    fresh = _fallback_search(g.adj, core, allowed, budget)
+                    assert _fallback_search(g.adj, core, allowed, budget, top) == fresh
+                    checked += 1
+    assert checked > 100

@@ -10,10 +10,10 @@ decision, the certificate's size and the certificate, every
 ``SolveStats`` counter and the ``time.process_time`` seconds of the
 solve.  A last ``total cpu_s=`` line sums those seconds.  The probes are
 random graphs with a seed FVS well past the benchmark's, where the
-candidate scan, with one degree bound per candidate, and the exact
-search carry the time; the last one has 38 of its 100 vertices on no
-cycle, which ``solve_fvs`` peels before it solves.  They take a few
-seconds in all (about 2.3 s of CPU on 2 cores with CPython 3.11);
+candidate scan, the degree bound of each candidate that leaves the
+queue, and the exact search carry the time; the last one has 38 of its
+100 vertices on no cycle, which ``solve_fvs`` peels before it solves.  They take a few
+seconds in all (about 1.1 s of CPU on 2 cores with CPython 3.11);
 compare the counters first, since CPU time is noisy on a shared
 machine.  ``tests/test_compression.py`` pins each probe's decision and
 optimum size.
