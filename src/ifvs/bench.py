@@ -1,9 +1,10 @@
 """Benchmark harness: run solve families and emit one CSV row per run.
 
 A row holds the instance shape, the decision, the certificate size, the
-solve's own ``ms`` and every counter in
-:data:`ifvs.compression.COUNTERS`, read from the solve's ``SolveStats``;
-a counter added there becomes a new last column with no edit here.
+solve's own ``ms`` and then every counter in
+:data:`ifvs.compression.COUNTERS`, in its order, read from the solve's
+``SolveStats``; a counter added to ``ExtensionStats`` becomes a column
+with no edit here.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from .generator import check_shape, generate
 from .graph import Graph
 from .io import _number
 
-# later columns are appended, so readers that index by position keep working
-_FIRST_COLUMNS = (
-    "n,m,k,decision,cert_size,ms,candidates,"
-    "fallbacks,fallback_tests,pruned,skipped,bound_pruned"
-).split(",")
-COLUMNS = tuple(_FIRST_COLUMNS + [name for name in COUNTERS if name not in _FIRST_COLUMNS])
+COLUMNS = ("n", "m", "k", "decision", "cert_size", "ms") + COUNTERS
 CSV_HEADER = ",".join(COLUMNS)
 _FORMATS = {"ms": ".3f"}
 

@@ -27,56 +27,52 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from operator import itemgetter
+from collections import namedtuple
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, TextIO
 
-from .extension import min_ifvs_given_fvs
+from .extension import ExtensionStats, min_ifvs_given_fvs
 from .graph import Graph, bits, mask_of
 
 
-class StepRecord(NamedTuple):
+# the per-step counters, in report order: ExtensionStats names them once
+_STEP_FIELDS = ExtensionStats.__slots__
+# the per-solve counter totals of every report
+COUNTERS = _STEP_FIELDS + ("skipped",)
+_step_counts = attrgetter(*_STEP_FIELDS)
+
+
+class StepRecord(namedtuple("StepRecord", ("prefix", "fvs_size", "min_ifvs") + _STEP_FIELDS)):
     """One extension call: its prefix, its optimum and its counters.
 
     A named tuple: ``_fields`` lists the fields in report order, and
-    ``_asdict()`` gives the step of the ``--json`` report.  The fields
-    after ``min_ifvs`` are the step's counters.
+    ``_asdict()`` gives the step of the ``--json`` report.  ``prefix`` is
+    the number of vertices in the grown graph, ``fvs_size`` the size of
+    the FVS handed to the extension stage and ``min_ifvs`` the prefix
+    optimum (None: no solution exists).  The fields after ``min_ifvs``
+    are the counters of :class:`ifvs.extension.ExtensionStats`, under
+    its names and in its order.
     """
 
-    prefix: int  # number of vertices in the grown graph
-    fvs_size: int  # size of the FVS handed to the extension stage
-    min_ifvs: int | None  # prefix optimum (None: no solution exists)
-    candidates: int
-    fallbacks: int  # candidates whose exact search ran
-    fallback_tests: int  # search nodes of those searches
-    pruned: int  # candidates the extension stage pruned
-    bound_pruned: int  # of those, pruned by their key before any search level
-    bounded: int  # candidates whose search state and degree bound were built
+    __slots__ = ()
 
 
 class SolveStats:
     """Counter totals of one solve, with its steps and its wall time.
 
     A slotted class, mutable while the solve runs: :meth:`add` records
-    each step and sums its counters, and a skipped step adds one to
-    ``skipped``.  :data:`COUNTERS` names the totals.
+    each step and sums its counters, and a skipped step, one that closed
+    no cycle and ran no extension, adds one to ``skipped``.
+    :data:`COUNTERS` names the totals; ``f_max`` is the largest FVS
+    handed to the extension stage.
     """
 
-    __slots__ = (
-        "candidates",
-        "fallbacks",
-        "fallback_tests",
-        "pruned",
-        "bound_pruned",  # pruned candidates whose search never ran
-        "bounded",  # candidates whose search state and degree bound were built
-        "skipped",  # steps that closed no cycle and ran no extension
-        "ms",
-        "f_max",  # largest FVS handed to the extension stage
-        "steps",
-    )
+    __slots__ = COUNTERS + ("ms", "f_max", "steps")
 
     def __init__(self) -> None:
-        self.candidates = self.fallbacks = self.fallback_tests = 0
-        self.pruned = self.bound_pruned = self.bounded = self.skipped = self.f_max = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        self.f_max = 0
         self.ms = 0.0
         self.steps: list[StepRecord] = []
 
@@ -84,22 +80,17 @@ class SolveStats:
         """Record ``step`` and add its counters to the totals."""
         self.steps.append(step)
         self.f_max = max(self.f_max, step.fvs_size)
-        for name in _STEP_COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(step, name))
-
-
-# the counters of a StepRecord, in report order
-_STEP_COUNTERS = StepRecord._fields[3:]
-# the per-solve counter totals of every report
-COUNTERS = _STEP_COUNTERS + ("skipped",)
+        for name, value in zip(_STEP_FIELDS, step[3:]):
+            setattr(self, name, getattr(self, name) + value)
 
 
 class SolveOutcome(NamedTuple):
     """A solve's decision, a named tuple.
 
     ``certificate`` is ``None`` unless ``decision`` is "yes";
-    :func:`solve_ifvs` and :func:`ifvs.reduction.solve_fvs` assert the
-    certificate where they build a "yes".
+    :func:`solve_ifvs` and :func:`ifvs.reduction.solve_fvs` check the
+    certificate where they build a "yes", and raise ``AssertionError``
+    if it fails.
     """
 
     decision: str  # "yes" | "no" | "absent"
@@ -187,22 +178,12 @@ def solve_ifvs(
             lower=len(current),
             trace=trace,
         )
-        ext = outcome.stats
-        step = StepRecord(
-            prefix=size,
-            fvs_size=fvs_input.bit_count(),
-            min_ifvs=outcome.size,
-            candidates=ext.candidates_scanned,
-            fallbacks=ext.fallbacks,
-            fallback_tests=ext.fallback_tests,
-            pruned=ext.pruned,
-            bound_pruned=ext.bound_pruned,
-            bounded=ext.bounded,
-        )
+        counts = _step_counts(outcome.stats)
+        step = StepRecord(size, fvs_input.bit_count(), outcome.size, *counts)
         stats.add(step)
         if progress is not None:
             shown = "-" if outcome.size is None else str(outcome.size)
-            counters = ", ".join(f"{name} = {getattr(step, name)}" for name in _STEP_COUNTERS)
+            counters = ", ".join(f"{name} = {n}" for name, n in zip(_STEP_FIELDS, counts))
             progress(
                 f"step {size}: {size} vertices, fvs = {step.fvs_size}, min = {shown}, {counters}"
             )
@@ -220,7 +201,8 @@ def solve_ifvs(
     if decision == "yes":
         certificate = current
         chosen = mask_of(certificate)
-        assert g.is_ifvs(chosen) and not chosen & undeletable
-        assert len(certificate) <= k
+        # raised, not asserted, so that python -O keeps the check
+        if not g.is_ifvs(chosen) or chosen & undeletable or len(certificate) > k:
+            raise AssertionError("the solver built an invalid certificate")
     stats.ms = (time.perf_counter() - t0) * 1000.0
     return SolveOutcome(decision=decision, certificate=certificate, stats=stats)

@@ -56,7 +56,11 @@ class NotAnFvsError(ValueError):
 class ExtensionStats:
     """Counters of one :func:`min_ifvs_given_fvs` call, filled by its scan and queue.
 
-    A slotted class; every counter starts at 0.
+    A slotted class; every counter starts at 0.  ``__slots__`` is the one
+    list of per-step counters: :class:`ifvs.compression.StepRecord`,
+    :class:`ifvs.compression.SolveStats` and every report take their
+    counter names and order from it, so a counter added here reaches
+    them all.
     """
 
     __slots__ = (
@@ -70,8 +74,8 @@ class ExtensionStats:
     )
 
     def __init__(self) -> None:
-        self.candidates_scanned = self.candidates_accepted = 0
-        self.fallbacks = self.fallback_tests = self.pruned = self.bound_pruned = self.bounded = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
 class ExtensionOutcome(NamedTuple):

@@ -100,8 +100,10 @@ def solve_fvs(
         raise AssertionError("subdivided graph reported no solution")
     if outcome.decision != "yes":
         return SolveOutcome("no", None, outcome.stats)
-    assert all(v < h.n for v in outcome.certificate)
+    # raised, not asserted, so that python -O keeps the checks
+    if not all(v < h.n for v in outcome.certificate):
+        raise AssertionError("the certificate holds a subdivision vertex")
     certificate = tuple(ids[v] for v in outcome.certificate)  # still ascending
-    assert g.is_fvs(mask_of(certificate))
-    assert len(certificate) <= k
+    if not g.is_fvs(mask_of(certificate)) or len(certificate) > k:
+        raise AssertionError("the solver built an invalid certificate")
     return SolveOutcome("yes", certificate, outcome.stats)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -19,6 +21,39 @@ def cli_env() -> dict[str, str]:
     sources first on the path, so the CLI tests need no install."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+# a triangle with a pendant vertex added last: the last step closes no
+# cycle, so no extension call checks a set on the whole graph
+PENDANT_TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 2), (2, 3)]
+
+
+def solve_rejected_under_optimize(solver: str, check: str) -> str:
+    """Run ``solver`` on the pendant triangle under ``python -O``, with
+    ``Graph.<check>`` rejecting every set of that graph and no other.
+
+    Returns the last line the subprocess printed: the name of the
+    exception raised, or the decision returned.
+    """
+    code = f"""
+import ifvs
+g = ifvs.Graph(4, {PENDANT_TRIANGLE_EDGES!r})
+check = ifvs.Graph.{check}
+ifvs.Graph.{check} = lambda self, mask: self is not g and check(self, mask)
+try:
+    print(ifvs.{solver}(g, 1).decision)
+except AssertionError:
+    print("AssertionError")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1]
 
 
 def cycle(n: int) -> Graph:

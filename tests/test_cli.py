@@ -146,7 +146,8 @@ def test_trace_writes_one_line_per_subset_per_call():
     assert len(calls) == len(steps)
     for call, step in zip(calls, steps):
         subsets = [line.split()[1] for line in call.splitlines() if line.startswith("candidate {")]
-        assert len(subsets) == len(set(subsets)) == step["candidates"] == 2 ** step["fvs_size"]
+        assert len(subsets) == len(set(subsets)) == step["candidates_scanned"]
+        assert step["candidates_scanned"] == 2 ** step["fvs_size"]
     searched = [line for line in proc.stderr.splitlines() if " nodes=" in line]
     searched = [line for line in searched if " nodes=0 " not in line]
     assert len(searched) == report["stats"]["fallbacks"] > 0
@@ -291,15 +292,20 @@ def test_bench_subcommand(tmp_path):
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == (
-        "n,m,k,decision,cert_size,ms,candidates,"
-        "fallbacks,fallback_tests,pruned,skipped,bound_pruned,bounded"
+        "n,m,k,decision,cert_size,ms,candidates_scanned,candidates_accepted,"
+        "fallbacks,fallback_tests,pruned,bound_pruned,bounded,skipped"
     )
+    # the leading columns, then every counter total in report order
+    from ifvs.compression import COUNTERS
+
+    assert lines[0].split(",") == ["n", "m", "k", "decision", "cert_size", "ms", *COUNTERS]
     assert len(lines) == 3
 
 
 def test_each_counter_has_one_name_in_every_report(tmp_path):
     from ifvs import format_edgelist, generate
     from ifvs.compression import COUNTERS, StepRecord
+    from ifvs.extension import ExtensionStats
 
     text = format_edgelist(generate(8, 12, 1))
     proc = run_cli("ifvs", "--k", "8", "--json", "-v", "--no-timing", stdin=text)
@@ -307,6 +313,8 @@ def test_each_counter_has_one_name_in_every_report(tmp_path):
     report = json.loads(proc.stdout)
     stats = report["stats"]
     assert list(stats) == list(COUNTERS)
+    timed = run_cli("ifvs", "--k", "8", "--json", stdin=text)
+    assert list(json.loads(timed.stdout)["stats"]) == [*COUNTERS, "ms"]
     plain = run_cli("ifvs", "--k", "8", "--no-timing", stdin=text).stdout.splitlines()
     assert plain[-1] == "  ".join(f"{name}: {stats[name]}" for name in COUNTERS)
     spec = tmp_path / "one.csv"
@@ -315,9 +323,11 @@ def test_each_counter_has_one_name_in_every_report(tmp_path):
     columns = dict(zip(header.split(","), row.split(","), strict=True))
     for name in COUNTERS:
         assert int(columns[name]) == stats[name], name
-    # every step names each of its counters as --json does; skipped steps
-    # are only counted in the totals
-    per_step = StepRecord._fields[3:]
+    # ExtensionStats names the per-step counters once; every step names
+    # each of them as --json does, and skipped steps are only counted in
+    # the totals
+    per_step = ExtensionStats.__slots__
+    assert StepRecord._fields[3:] == per_step
     assert COUNTERS == per_step + ("skipped",)
     shown = [line for line in proc.stderr.splitlines() if line.startswith("step ")]
     steps = report["steps"]
@@ -325,6 +335,8 @@ def test_each_counter_has_one_name_in_every_report(tmp_path):
     for line, step in zip(shown, steps):
         assert list(step) == list(StepRecord._fields)
         assert line.endswith(", ".join(f"{name} = {step[name]}" for name in per_step))
+        named = [part.split(" = ")[0] for part in line.split(", ")[-len(per_step) - 1 :]]
+        assert named == ["min", *per_step]
 
 
 def test_no_timing_strips_ms():

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cycle, graphs, path, planted, random_graph, relabel, search_min_ifvs
+from conftest import (
+    complete,
+    cycle,
+    graphs,
+    path,
+    planted,
+    random_graph,
+    relabel,
+    search_min_ifvs,
+    solve_rejected_under_optimize,
+)
 from ifvs import (
     Graph,
     brute_min_ifvs,
@@ -146,9 +156,14 @@ def test_insertion_order_does_not_change_the_decision():
         assert shuffled.certificate == again.certificate
 
 
+def test_rejected_certificate_raises_under_optimize():
+    # the check is raised, not asserted, so python -O keeps it
+    assert solve_rejected_under_optimize("solve_ifvs", "is_ifvs") == "AssertionError"
+
+
 def test_stats_are_populated():
     out = solve_ifvs(cycle(5), 1)
-    assert out.stats.candidates > 0
+    assert out.stats.candidates_scanned > 0
     assert out.stats.fallback_tests >= out.stats.fallbacks > 0
     assert out.stats.ms >= 0
     assert out.stats.f_max >= 1
@@ -274,7 +289,7 @@ def test_probe_counters_are_pinned():
     # every candidate whose search ran; fallback_tests replaces dp_cells
     out = solve_ifvs(generate(60, 75, 1), 60)
     stats = out.stats
-    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (126, 16, 79)
+    assert (stats.candidates_scanned, stats.fallbacks, stats.fallback_tests) == (126, 16, 79)
     assert out.certificate == (0, 8, 16, 20, 51, 52)
 
 
@@ -298,7 +313,7 @@ def test_fvs_probe_counters_are_pinned():
     # became the counts below, with the same final certificate
     out = solve_fvs(generate(30, 60, 1), 30)
     stats = out.stats
-    assert (stats.candidates, stats.fallbacks, stats.fallback_tests) == (799, 81, 487)
+    assert (stats.candidates_scanned, stats.fallbacks, stats.fallback_tests) == (799, 81, 487)
     assert out.certificate == (0, 4, 15, 19, 21, 25, 26)
 
 
@@ -353,5 +368,5 @@ def test_planted_counters_are_pinned():
     # leaves, so once the first candidate sets the best total, every
     # other one is pruned before any search level
     stats = solve_ifvs(planted(96, 3, 1), 3).stats
-    assert (stats.candidates, stats.bound_pruned) == (14, 11)
+    assert (stats.candidates_scanned, stats.bound_pruned) == (14, 11)
     assert stats.bound_pruned == sum(s.bound_pruned for s in stats.steps)

@@ -144,4 +144,4 @@ def test_forest_family_per_step_counts_stay_linear():
     out = solve_ifvs(path(80), 0)
     assert out.decision == "yes"
     assert out.stats.steps == [] and out.stats.skipped == 78
-    assert out.stats.candidates == out.stats.fallback_tests == 0
+    assert out.stats.candidates_scanned == out.stats.fallback_tests == 0

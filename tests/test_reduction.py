@@ -3,7 +3,17 @@ from operator import itemgetter
 
 import pytest
 
-from conftest import cycle, hang_trees, path, petersen, random_graph, relabel, star, two_core
+from conftest import (
+    cycle,
+    hang_trees,
+    path,
+    petersen,
+    random_graph,
+    relabel,
+    solve_rejected_under_optimize,
+    star,
+    two_core,
+)
 from ifvs import (
     Graph,
     bits,
@@ -20,6 +30,12 @@ def test_subdivide_triangle_is_c6():
     assert sub.n == 6 and sub.m == 6
     assert len(sub.components_within(sub.vertex_mask)) == 1
     assert all(sub.adj[v].bit_count() == 2 for v in range(6))  # one long cycle
+
+
+def test_rejected_certificate_raises_under_optimize():
+    # the check is raised, not asserted, so python -O keeps it; only the
+    # input graph rejects, not its subdivided kernel
+    assert solve_rejected_under_optimize("solve_fvs", "is_fvs") == "AssertionError"
 
 
 def test_subdivide_edge_and_edgeless():
