@@ -4,9 +4,12 @@ The graph is rebuilt one vertex at a time.  After each insertion the new
 vertex plus the previous prefix optimum forms a feedback vertex set of
 the grown prefix (deleting it restores the old forest), which
 :func:`ifvs.extension.min_ifvs_given_fvs` turns into the new prefix
-optimum.  Any induced subgraph of a yes-instance is a yes-instance, so
-the loop can answer "no" the moment a prefix optimum exceeds the budget,
-and "absent" the moment a prefix has no solution at all.
+optimum.  That FVS, an independent set plus one vertex, induces a star
+forest, so the extension's ``cyclic-remainder`` rejection never fires
+inside a solve; it is there for callers that pass an arbitrary FVS.
+Any induced subgraph of a yes-instance is a yes-instance, so the loop
+can answer "no" the moment a prefix optimum exceeds the budget, and
+"absent" the moment a prefix has no solution at all.
 
 A union-find over the forest left by the current optimum tells whether
 the new vertex closes a cycle.  When it does not, the step is *skipped*:

@@ -6,11 +6,16 @@ line, then ``m`` lines ``e u v`` with 1-based ids.  Every count and id
 is a run of ASCII digits.  :func:`load_graph` detects the format from
 the text; a caller who knows it calls :func:`parse_edgelist` or
 :func:`parse_dimacs`.
+
+Each edge line is checked once, as it is read: its ids are digits and
+in range, and it is no self-loop and no repeat of an earlier pair.  A
+fault raises :class:`ParseError` naming that line.  Once every line
+has passed, the graph is built unchecked from the checked pairs.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 # Header counts are checked before anything is allocated from them.
 # Adjacency rows are bitmasks, so n vertices may hold up to n * n / 8
@@ -61,10 +66,10 @@ def _counts(fields: list[str], what: str, line_no: int, line: str) -> tuple[int,
 
 def _edge(
     fields: list[str], base: int, n: int, seen: set[tuple[int, int]], line_no: int, line: str
-) -> tuple[int, int]:
+) -> None:
     """Check the endpoint fields of one edge line, with ids counted from ``base``.
 
-    Returns the edge with 0-based ids and records it in ``seen``; a
+    Records the edge in ``seen`` as a 0-based ``(min, max)`` pair; a
     repeated pair in either orientation is rejected at its own line.
     """
     try:
@@ -79,7 +84,27 @@ def _edge(
     if key in seen:
         raise ParseError("duplicate edge", line_no, line)
     seen.add(key)
-    return u, v
+
+
+def _graph(n: int, seen: set[tuple[int, int]], declared_m: int, lines: list[str]) -> Graph:
+    """The graph on ``n`` vertices whose edges are the pairs ``seen``.
+
+    Raises :class:`ParseError` at the last line unless there are
+    ``declared_m`` pairs.  Every pair already passed :func:`_edge`, so
+    the graph is built unchecked, its edges sorted as the checking
+    constructor sorts them.
+    """
+    if len(seen) != declared_m:
+        raise ParseError(
+            f"declared {declared_m} edges but found {len(seen)}",
+            len(lines),
+            lines[-1] if lines else "",
+        )
+    adj = [0] * n
+    for u, v in seen:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph.trusted(tuple(adj), tuple(sorted(seen)))
 
 
 def detect_format(text: str) -> str:
@@ -100,44 +125,32 @@ def detect_format(text: str) -> str:
 def parse_edgelist(text: str) -> Graph:
     lines = text.splitlines()
     header = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     declared_m = 0
     for idx, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if header is None:
             if len(parts) != 2:
                 raise ParseError("expected header 'n m'", idx, raw)
             header = _counts(parts, "header", idx, raw)
             declared_m = header[1]
             continue
-        if len(edges) == declared_m:
+        if len(seen) == declared_m:
             raise ParseError(f"more than the declared {declared_m} edges", idx, raw)
         if len(parts) != 2:
             raise ParseError("expected edge 'u v'", idx, raw)
-        edges.append(_edge(parts, 0, header[0], seen, idx, raw))
+        _edge(parts, 0, header[0], seen, idx, raw)
     if header is None:
         raise ParseError("empty input")
-    if len(edges) != declared_m:
-        raise ParseError(
-            f"declared {declared_m} edges but found {len(edges)}",
-            len(lines),
-            lines[-1] if lines else "",
-        )
-    try:
-        return Graph(header[0], edges)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+    return _graph(header[0], seen, declared_m, lines)
 
 
 def parse_dimacs(text: str) -> Graph:
     lines = text.splitlines()
     n = None
     declared_m = 0
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -152,25 +165,16 @@ def parse_dimacs(text: str) -> Graph:
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", idx, raw)
-            if len(edges) == declared_m:
+            if len(seen) == declared_m:
                 raise ParseError(f"more than the declared {declared_m} edges", idx, raw)
             if len(parts) != 3:
                 raise ParseError("expected 'e u v'", idx, raw)
-            edges.append(_edge(parts[1:], 1, n, seen, idx, raw))
+            _edge(parts[1:], 1, n, seen, idx, raw)
         else:
             raise ParseError(f"unrecognized line type {parts[0]!r}", idx, raw)
     if n is None:
         raise ParseError("missing problem line")
-    if len(edges) != declared_m:
-        raise ParseError(
-            f"declared {declared_m} edges but found {len(edges)}",
-            len(lines),
-            lines[-1] if lines else "",
-        )
-    try:
-        return Graph(n, edges)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+    return _graph(n, seen, declared_m, lines)
 
 
 def load_graph(text: str) -> Graph:

@@ -23,6 +23,18 @@ def cli_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
+def run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run ``python -m ifvs *args`` on ``stdin`` from this checkout."""
+    return subprocess.run(
+        [sys.executable, "-m", "ifvs", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=cli_env(),
+    )
+
+
 # a triangle with a pendant vertex added last: the last step closes no
 # cycle, so no extension call checks a set on the whole graph
 PENDANT_TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 2), (2, 3)]

@@ -8,20 +8,19 @@ Run with: ``pytest tests/test_acceptance.py -v``.
 import json
 import random
 import statistics
-import subprocess
-import sys
 import time
 from itertools import combinations
 
 from conftest import (
-    cli_env,
     complete,
     cycle,
     gate_cross_tree,
     gate_forced_fallback,
     gate_single_tree,
     path,
+    planted,
     random_graph,
+    run_cli,
     star,
 )
 from ifvs import (
@@ -156,26 +155,12 @@ def test_criterion_4_reduction_identity():
     print("PASS criterion 4: reduction identity on 300 random graphs")
 
 
-def _planted(n: int, k: int, seed: int) -> Graph:
-    """k disjoint triangles plus a path, labels shuffled: optimum is k."""
-    rng = random.Random(seed)
-    labels = list(range(n))
-    rng.shuffle(labels)
-    edges = []
-    for t in range(k):
-        a, b, c = labels[3 * t : 3 * t + 3]
-        edges += [(a, b), (b, c), (c, a)]
-    rest = labels[3 * k :]
-    edges += [(rest[i], rest[i + 1]) for i in range(len(rest) - 1)]
-    return Graph(n, edges)
-
-
 def test_criterion_7_scaling_trend():
     """Doubling n at fixed k raises the median wall time at most 8x."""
     k = 3
 
     def median_ms(n: int) -> float:
-        g = _planted(n, k, seed=17)
+        g = planted(n, k, seed=17)
         solve_ifvs(g, k)  # warm-up, discarded
         times = []
         for _ in range(5):
@@ -218,24 +203,13 @@ def test_criterion_8_degenerate_suite():
     print("PASS criterion 8: degenerate suite validated")
 
 
-def _run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "ifvs", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=cli_env(),
-    )
-
-
 def test_criterion_9_determinism_across_threads():
     """Repeated runs with identical inputs give byte-identical JSON.
 
     The solver has no threads and inserts vertices in input order, so
     determinism is checked across repeated runs of each mode and instance.
     """
-    gen = _run_cli("gen", "--n", "14", "--m", "18", "--seed", "7")
+    gen = run_cli("gen", "--n", "14", "--m", "18", "--seed", "7")
     assert gen.returncode == 0
     instances = [
         (gen.stdout, "3"),
@@ -245,8 +219,8 @@ def test_criterion_9_determinism_across_threads():
     for text, k in instances:
         for mode in ("ifvs", "fvs"):
             args = [mode, "--k", k, "--json", "--no-timing"]
-            one = _run_cli(*args, stdin=text)
-            again = _run_cli(*args, stdin=text)
+            one = run_cli(*args, stdin=text)
+            again = run_cli(*args, stdin=text)
             assert one.returncode == again.returncode
             assert one.stdout == again.stdout, f"{mode} --k {k} diverged"
             json.loads(one.stdout)  # stays well-formed

@@ -4,22 +4,11 @@ import sys
 
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, run_cli
 
 C4_EDGELIST = "4 4\n0 1\n1 2\n2 3\n3 0\n"
 K4_EDGELIST = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 P4_DIMACS = "c path\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
-
-
-def run_cli(*args, stdin=""):
-    return subprocess.run(
-        [sys.executable, "-m", "ifvs", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=cli_env(),
-    )
 
 
 def test_yes_instance_exit_zero(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import io
 import random
 from operator import itemgetter
 from pathlib import Path
@@ -268,6 +269,23 @@ def test_sliced_prefix_matches_a_full_rebuild(data):
         assert (sliced.n, sliced.m, sliced.adj) == (full.n, full.m, full.adj)
         assert sorted(sliced.edges) == list(full.edges)
         assert sliced == full and hash(sliced) == hash(full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_solve_never_rejects_a_cyclic_remainder(data):
+    # each step's FVS is the old optimum, an independent set, plus the new
+    # vertex: a star forest, so no subset of it leaves a cycle behind
+    g = data.draw(graphs())
+    undeletable = data.draw(st.integers(0, (1 << g.n) - 1))
+    for solve, kwargs in (
+        (solve_ifvs, {}),
+        (solve_ifvs, {"undeletable": undeletable}),
+        (solve_fvs, {}),
+    ):
+        buf = io.StringIO()
+        solve(g, g.n, trace=buf, **kwargs)
+        assert "cyclic-remainder" not in buf.getvalue()
 
 
 def test_probe_counters_are_pinned():

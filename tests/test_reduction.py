@@ -1,4 +1,5 @@
 import random
+import time
 from operator import itemgetter
 
 import pytest
@@ -195,3 +196,14 @@ def test_solve_fvs_matches_oracle_with_pendant_trees():
                     assert len(out.certificate) <= k
                     assert set(out.certificate) <= core
                     assert list(out.certificate) == sorted(out.certificate)
+
+
+def test_solve_fvs_times_the_whole_call(monkeypatch):
+    # stats.ms covers the 2-core strip, the subdivision and the final
+    # checks too, not only the inner independent-set solve
+    def slow(g):
+        time.sleep(0.05)
+        return subdivide(g)
+
+    monkeypatch.setattr("ifvs.reduction.subdivide", slow)
+    assert solve_fvs(cycle(4), 1).stats.ms >= 50
