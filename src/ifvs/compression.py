@@ -5,8 +5,10 @@ vertex plus the previous prefix optimum forms a feedback vertex set of
 the grown prefix (deleting it restores the old forest), which
 :func:`ifvs.extension.min_ifvs_given_fvs` turns into the new prefix
 optimum.  That FVS, an independent set plus one vertex, induces a star
-forest, so the extension's ``cyclic-remainder`` rejection never fires
-inside a solve; it is there for callers that pass an arbitrary FVS.
+forest, so the extension finds the 2-core of ``G[f]`` empty once and
+tests no subset for a cyclic remainder; that test, and its
+``cyclic-remainder`` rejection, are there for callers that pass an
+arbitrary FVS.
 Any induced subgraph of a yes-instance is a yes-instance, so the loop
 can answer "no" the moment a prefix optimum exceeds the budget, and
 "absent" the moment a prefix has no solution at all.
@@ -21,17 +23,17 @@ receives the old optimum as a lower bound, and records a
 :class:`StepRecord`.
 
 Vertices are inserted in input order; the method is correct for any
-order, so the order is not an input.  The edges are sorted by their
-later endpoint once per solve, so a step's prefix graph is a slice of
-the graph, and the extension stage checks once that its input is an FVS.
+order, so the order is not an input.  A step's prefix graph is
+:meth:`ifvs.graph.Graph.prefix`: the graph's rows masked to the prefix
+and its edges below it.  The extension stage checks once that its input
+is an FVS.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections import namedtuple
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, NamedTuple, TextIO
 
 from .extension import ExtensionStats, min_ifvs_given_fvs
@@ -101,15 +103,13 @@ class SolveOutcome(NamedTuple):
     stats: SolveStats
 
 
-def _prefix_graph(h: Graph, size: int) -> Graph:
-    """Subgraph of ``h`` on its first ``size`` vertices.
+def _prefix_graph(g: Graph, size: int) -> Graph:
+    """Subgraph of ``g`` on its first ``size`` vertices.
 
-    ``h`` keeps its edges sorted by later endpoint, so the edges are a
-    slice, and each row only loses its later neighbours.
+    A function of its own because ``perfbench/spans.py`` times the prefix
+    layer through this name.
     """
-    keep = (1 << size) - 1
-    m = bisect_left(h.edges, size, key=itemgetter(1))
-    return Graph.trusted(tuple([a & keep for a in h.adj[:size]]), h.edges[:m])
+    return g.prefix(size)
 
 
 def _find(parent: list[int], u: int) -> int:
@@ -151,8 +151,6 @@ def solve_ifvs(
         raise ValueError("k must be non-negative")
     t0 = time.perf_counter()
     stats = SolveStats()
-    # edges sorted by later endpoint: each prefix graph is a slice of h
-    h = Graph.trusted(g.adj, tuple(sorted(g.edges, key=itemgetter(1, 0))))
 
     decision = "yes"
     current: tuple[int, ...] = ()  # prefix optimum, ascending
@@ -161,7 +159,7 @@ def solve_ifvs(
     for size in range(1, g.n + 1):
         new = size - 1
         closes = False
-        for w in bits(h.adj[new] & ((1 << new) - 1) & ~current_mask):
+        for w in bits(g.adj[new] & ((1 << new) - 1) & ~current_mask):
             a, b = _find(parent, new), _find(parent, w)
             if a == b:
                 closes = True
@@ -172,7 +170,7 @@ def solve_ifvs(
                 stats.skipped += 1
             continue
 
-        prefix = _prefix_graph(h, size)
+        prefix = _prefix_graph(g, size)
         fvs_input = current_mask | 1 << new
         outcome = min_ifvs_given_fvs(
             prefix,

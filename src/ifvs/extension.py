@@ -11,10 +11,12 @@ may hold; they are never chosen from ``f`` and are forbidden in every
 extension.
 
 The scan tests each subset ``sub`` of ``f`` with its neighbours, which
-tell whether it is independent.  Every cycle of ``G[f - sub]`` lies in
-the 2-core of ``G``, and a graph is a forest iff its 2-core is empty,
-so the rest of ``f`` is acyclic iff its part inside the 2-core of ``G``
-strips to nothing (see :func:`_strip`).
+tell whether it is independent.  A graph is a forest iff its 2-core is
+empty (see :func:`_strip`), and every cycle of ``G[f - sub]`` lies in
+the 2-core of ``G[f]``, which is stripped once per call.  So the rest
+of ``f`` is acyclic iff that core minus ``sub`` strips to nothing, and
+when ``G[f]`` is a forest, as at every step of a solve, no subset is
+tested at all.
 
 Candidates wait in one queue keyed by a proven lower bound on their
 exact total, least first.  The scan needs only each candidate's
@@ -286,14 +288,15 @@ def min_ifvs_given_fvs(
     # is bounded, then (2-core of G - sub, its deletable vertices, the
     # vertex to branch on first)
     core = _strip(adj, g.vertex_mask, g.vertex_mask)
+    cyclic = _strip(adj, core & f, core & f)  # the 2-core of G[f]: empty inside a solve
     queue: list[tuple] = []
     for sub in _iter_subsets(scan):
         near = g.neighbors(sub)
-        rem = core & f & ~sub  # every cycle of G[f - sub] lies in the 2-core of G
+        rem = cyclic & ~sub  # every cycle of G[f - sub] lies in the 2-core of G[f]
         reason = (
             "not-independent"
             if near & sub
-            else "cyclic-remainder" if _strip(adj, rem, rem) else ""
+            else "cyclic-remainder" if cyclic and _strip(adj, rem, rem) else ""
         )
         if reason:
             if trace is not None:

@@ -35,8 +35,9 @@ class Graph:
 
     Instances are immutable after construction.  ``adj[v]`` is the
     neighbor bitmask of vertex ``v``; ``edges`` holds every edge once as a
-    ``(min, max)`` pair, sorted by the constructor (a graph made by
-    :meth:`trusted` keeps the order it was given).
+    ``(min, max)`` pair, sorted.  Checked or not, every graph sorts its
+    pairs once and builds its rows from them, and :meth:`prefix` keeps
+    that order, so rows and edges always agree.
     """
 
     __slots__ = ("n", "m", "adj", "edges")
@@ -44,7 +45,6 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        adj = [0] * n
         canon: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -55,25 +55,43 @@ class Graph:
             if e in canon:
                 raise GraphError(f"parallel edge ({e[0]}, {e[1]})")
             canon.add(e)
+        self._fill(n, canon)
+
+    @classmethod
+    def trusted(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on ``n`` vertices with edges ``pairs``, unchecked.
+
+        The caller guarantees that ``pairs`` holds distinct ``(min, max)``
+        pairs of ids below ``n``, in any order; an iterator will do.
+        """
+        g = cls.__new__(cls)
+        g._fill(n, pairs)
+        return g
+
+    def _fill(self, n: int, pairs: Iterable[tuple[int, int]]) -> None:
+        """Sort ``pairs`` into ``edges`` once, then build the rows from them."""
+        edges = tuple(sorted(pairs))
+        adj = [0] * n
+        for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
-        self.m = len(canon)
+        self.m = len(edges)
         self.adj = tuple(adj)
-        self.edges = tuple(sorted(canon))
+        self.edges = edges
 
-    @classmethod
-    def trusted(cls, adj: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> "Graph":
-        """A graph from neighbour rows and ``(min, max)`` edges, unchecked.
+    def prefix(self, size: int) -> "Graph":
+        """Subgraph on the first ``size`` vertices, ``0 <= size <= n``.
 
-        The caller guarantees that ``adj`` and ``edges`` describe the same
-        simple graph on ``len(adj)`` vertices.
+        Each row only loses its later neighbours, and the edges ``(u, v)``
+        with ``v < size`` keep their sorted order.
         """
-        g = cls.__new__(cls)
-        g.n = len(adj)
-        g.m = len(edges)
-        g.adj = adj
-        g.edges = edges
+        keep = (1 << size) - 1
+        g = Graph.__new__(Graph)
+        g.n = size
+        g.adj = tuple([a & keep for a in self.adj[:size]])
+        g.edges = tuple([e for e in self.edges if e[1] < size])
+        g.m = len(g.edges)
         return g
 
     @property
@@ -95,21 +113,12 @@ class Graph:
 
         Returns ``(subgraph, old_ids)`` where new vertex ``i`` corresponds
         to ``old_ids[i]`` (ascending).  The ids keep their order, so the
-        subgraph of a simple graph is simple and is built unchecked.
+        kept edges stay ``(min, max)`` pairs and are built unchecked.
         """
         old_ids = tuple(bits(vs))
         index = {v: i for i, v in enumerate(old_ids)}
-        adj = [0] * len(old_ids)
-        sub_edges = []
-        for u, v in self.edges:
-            if vs >> u & 1 and vs >> v & 1:
-                a, b = index[u], index[v]
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-                sub_edges.append((a, b))
-        # a graph made by trusted may keep its edges in another order
-        sub_edges.sort()
-        return Graph.trusted(tuple(adj), tuple(sub_edges)), old_ids
+        pairs = [(index[u], index[v]) for u, v in self.edges if vs >> u & 1 and vs >> v & 1]
+        return Graph.trusted(len(old_ids), pairs), old_ids
 
     def components_within(self, vs: int) -> list[int]:
         """Connected components of the subgraph induced on ``vs``.

@@ -91,8 +91,7 @@ def _graph(n: int, seen: set[tuple[int, int]], declared_m: int, lines: list[str]
 
     Raises :class:`ParseError` at the last line unless there are
     ``declared_m`` pairs.  Every pair already passed :func:`_edge`, so
-    the graph is built unchecked, its edges sorted as the checking
-    constructor sorts them.
+    the graph is built from them unchecked.
     """
     if len(seen) != declared_m:
         raise ParseError(
@@ -100,11 +99,7 @@ def _graph(n: int, seen: set[tuple[int, int]], declared_m: int, lines: list[str]
             len(lines),
             lines[-1] if lines else "",
         )
-    adj = [0] * n
-    for u, v in seen:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph.trusted(tuple(adj), tuple(sorted(seen)))
+    return Graph.trusted(n, seen)
 
 
 def detect_format(text: str) -> str:

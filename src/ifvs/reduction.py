@@ -42,20 +42,11 @@ def subdivide(g: Graph) -> Graph:
 
     Subdivision vertex ``g.n + i`` splits ``g.edges[i]``, so the result
     has ``n + m`` vertices and ``2 m`` edges.  It is simple by
-    construction, so it is built unchecked, with its edges sorted.
+    construction, so it is built unchecked.
     """
     n = g.n
-    adj = list(g.adj) + [0] * g.m
-    incident: list[list[int]] = [[] for _ in range(n)]  # ascending, as i ascends
-    for i, (u, v) in enumerate(g.edges):
-        x = n + i
-        adj[u] ^= 1 << v | 1 << x
-        adj[v] ^= 1 << u | 1 << x
-        adj[x] = 1 << u | 1 << v
-        incident[u].append(x)
-        incident[v].append(x)
-    edges = tuple([(u, x) for u in range(n) for x in incident[u]])
-    return Graph.trusted(tuple(adj), edges)
+    pairs = [(w, n + i) for i, e in enumerate(g.edges) for w in e]
+    return Graph.trusted(n + g.m, pairs)
 
 
 def solve_fvs(

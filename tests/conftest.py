@@ -10,7 +10,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from ifvs import Graph
+from ifvs import Graph, bits
 from ifvs.extension import _fallback_search, _strip
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -132,14 +132,21 @@ def hang_trees(g: Graph, rng: random.Random, leaves: int, isolated: int) -> Grap
     return Graph(n, [(label[u], label[v]) for u, v in edges])
 
 
-def two_core(g: Graph) -> set[int]:
-    """The vertices left after deleting degree-<=1 vertices until none is left."""
-    core = set(range(g.n))
+def two_core(g: Graph, live: int | None = None) -> int:
+    """Reference 2-core of ``g`` within the mask ``live`` (default: all of ``g``).
+
+    Drops one vertex with at most one neighbour left in ``live`` at a
+    time, and returns the mask of the vertices that remain.
+    """
+    if live is None:
+        live = g.vertex_mask
     while True:
-        low = {v for v in core if sum(g.adj[v] >> u & 1 for u in core) <= 1}
-        if not low:
-            return core
-        core -= low
+        for v in bits(live):
+            if (g.adj[v] & live).bit_count() <= 1:
+                live &= ~(1 << v)
+                break
+        else:
+            return live
 
 
 def search_min_ifvs(g: Graph, undeletable: int = 0) -> int | None:

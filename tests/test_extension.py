@@ -19,6 +19,7 @@ from conftest import (
     path,
     random_graph,
     search_min_ifvs,
+    two_core,
 )
 from ifvs import (
     Graph,
@@ -184,17 +185,6 @@ def test_reported_sizes_are_minimal():
                 assert vs.bit_count() >= out.size
 
 
-def _two_core(g, live):
-    """Reference 2-core: drop one vertex with at most one neighbour at a time."""
-    while True:
-        for v in bits(live):
-            if (g.adj[v] & live).bit_count() <= 1:
-                live &= ~(1 << v)
-                break
-        else:
-            return live
-
-
 @st.composite
 def graphs_with_subset(draw, max_n: int = 10):
     n = draw(st.integers(0, max_n))
@@ -208,12 +198,12 @@ def graphs_with_subset(draw, max_n: int = 10):
 @given(graphs_with_subset())
 def test_incremental_strip(case):
     g, live = case
-    core = _two_core(g, live)
+    core = two_core(g, live)
     assert _strip(g.adj, live, live) == core
     # deleting one core vertex: re-stripping from its neighbours is exact
     for v in bits(core):
         rest = core & ~(1 << v)
-        assert _strip(g.adj, rest, g.adj[v] & core) == _two_core(g, rest)
+        assert _strip(g.adj, rest, g.adj[v] & core) == two_core(g, rest)
 
 
 def _fvs_corpus(seed, count):
