@@ -14,13 +14,16 @@ can answer "no" the moment a prefix optimum exceeds the budget, and
 "absent" the moment a prefix has no solution at all.
 
 A union-find over the forest left by the current optimum tells whether
-the new vertex closes a cycle.  When it does not, the step is *skipped*:
-no edge joins two old vertices, so the old optimum is still independent
-and still an FVS, and prefix optima never shrink, so it is still
-minimum.  A skipped step only adds one to ``SolveStats.skipped``.  Only
-a step that closes a cycle calls the extension stage, which also
-receives the old optimum as a lower bound, and records a
-:class:`StepRecord`.
+the new vertex closes a cycle.  It is built once per cycle-closing step,
+by the extension stage's check of the optimum it returns
+(:meth:`ifvs.graph.Graph.forest_parents`), and each later step only adds
+the new vertex's edges to it.  When the vertex closes no cycle, the step
+is *skipped*: no edge joins two old vertices, so the old optimum is
+still independent and still an FVS, and prefix optima never shrink, so
+it is still minimum.  A skipped step only adds one to
+``SolveStats.skipped``.  Only a step that closes a cycle calls the
+extension stage, which also receives the old optimum as a lower bound,
+and records a :class:`StepRecord`.
 
 Vertices are inserted in input order; the method is correct for any
 order, so the order is not an input.  A step's prefix graph is
@@ -118,15 +121,6 @@ def _find(parent: list[int], u: int) -> int:
     return u
 
 
-def _forest_parents(prefix: Graph, removed: int) -> list[int]:
-    """Union-find over ``prefix`` minus ``removed``, which must be an FVS."""
-    parent = list(range(prefix.n))
-    for u, v in prefix.edges:
-        if not (removed >> u & 1 or removed >> v & 1):
-            parent[_find(parent, u)] = _find(parent, v)
-    return parent
-
-
 def solve_ifvs(
     g: Graph,
     k: int,
@@ -196,7 +190,8 @@ def solve_ifvs(
             decision = "no"
             break
         current_mask = mask_of(current)
-        parent = _forest_parents(prefix, current_mask) + parent[size:]
+        # the union-find that checked the new optimum goes on as the skip's
+        parent = outcome.forest + parent[size:]  # type: ignore[operator]
 
     certificate = None
     if decision == "yes":

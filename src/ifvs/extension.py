@@ -83,13 +83,17 @@ class ExtensionStats:
 class ExtensionOutcome(NamedTuple):
     """Result of :func:`min_ifvs_given_fvs`, a named tuple.
 
-    ``size`` and ``certificate`` are ``None`` when the graph has no
-    independent feedback vertex set at all.
+    ``size``, ``certificate`` and ``forest`` are ``None`` when the graph
+    has no independent feedback vertex set at all.  ``forest`` is the
+    parent list that checked the certificate, as
+    :meth:`ifvs.graph.Graph.forest_parents` gives it for the graph minus
+    the certificate.
     """
 
     size: int | None
     certificate: tuple[int, ...] | None
     stats: ExtensionStats
+    forest: list[int] | None
 
     @property
     def absent(self) -> bool:
@@ -309,6 +313,7 @@ def min_ifvs_given_fvs(
 
     best_total: float = math.inf
     best_cert: int | None = None
+    forest: list[int] | None = None  # the union-find that checked best_cert
     entry = heapq.heappop(queue) if queue else None
     while entry is not None:
         key, size, sub, near, state, nodes = entry
@@ -339,10 +344,11 @@ def min_ifvs_given_fvs(
             stats.fallback_tests += more
             nodes += more
             if ext is not None:
-                if not g.is_ifvs(sub | ext):
+                best_cert = sub | ext
+                forest = g.forest_parents(g.vertex_mask & ~best_cert)
+                if forest is None or not g.is_independent_set(best_cert):
                     raise AssertionError("the exact search produced an invalid set")
                 best_total = size + ext.bit_count()
-                best_cert = sub | ext
                 fate = "found"
             elif key - size < deletable.bit_count():
                 entry = heapq.heappushpop(queue, (key + 1, size, sub, near, state, nodes))
@@ -354,9 +360,10 @@ def min_ifvs_given_fvs(
         entry = heapq.heappop(queue) if queue else None
 
     if best_cert is None:
-        return ExtensionOutcome(size=None, certificate=None, stats=stats)
+        return ExtensionOutcome(size=None, certificate=None, stats=stats, forest=None)
     return ExtensionOutcome(
         size=int(best_total),
         certificate=tuple(bits(best_cert)),
         stats=stats,
+        forest=forest,
     )

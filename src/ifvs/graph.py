@@ -141,8 +141,13 @@ class Graph:
             rest &= ~comp
         return comps
 
-    def is_forest_within(self, vs: int) -> bool:
-        """True iff the subgraph induced on ``vs`` is acyclic."""
+    def forest_parents(self, vs: int) -> list[int] | None:
+        """Union-find parents of the forest induced on ``vs``, or None if it has a cycle.
+
+        The list has one entry per vertex of the graph: two vertices of
+        ``vs`` share a root iff a path inside ``vs`` joins them, and every
+        vertex outside ``vs`` is its own root.
+        """
         # inline union-find with path halving; this is the hottest
         # primitive in the oracles and the certificate checks
         parent = list(range(self.n))
@@ -153,9 +158,13 @@ class Graph:
                 while parent[v] != v:
                     parent[v] = v = parent[parent[v]]
                 if u == v:
-                    return False
+                    return None
                 parent[u] = v
-        return True
+        return parent
+
+    def is_forest_within(self, vs: int) -> bool:
+        """True iff the subgraph induced on ``vs`` is acyclic."""
+        return self.forest_parents(vs) is not None
 
     def is_independent_set(self, vs: int) -> bool:
         for v in bits(vs):

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -737,3 +737,59 @@ def test_search_from_the_bounding_vertex_matches_a_fresh_root():
                     assert _fallback_search(g.adj, core, allowed, budget, top) == fresh
                     checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "found",
+    [lambda allowed: 0, lambda allowed: allowed],
+    ids=["leaves-a-cycle", "not-independent"],
+)
+def test_the_certificate_check_rejects_a_bad_search_result(monkeypatch, found):
+    # the check that gives the outcome its forest still guards the search:
+    # on C4 with f = {0}, the empty candidate gets either no extension,
+    # which leaves the cycle, or all of 1, 2 and 3, which are adjacent
+    import ifvs.extension
+
+    monkeypatch.setattr(
+        ifvs.extension,
+        "_fallback_search",
+        lambda adj, core, allowed, budget, start=-1: (found(allowed), 1),
+    )
+    with pytest.raises(AssertionError, match="invalid set"):
+        min_ifvs_given_fvs(cycle(4), mask_of([0]))
+
+
+def _root(parent, v):
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(graphs(), st.sampled_from([complete(4), complete(5)])),
+    st.integers(0, (1 << 12) - 1),
+    st.integers(0, (1 << 12) - 1),
+)
+@example(complete(4), 0, 0)  # no independent FVS at all
+@example(cycle(3), 0, 0b111)  # none that avoids the mask
+def test_outcome_forest_is_the_union_find_of_the_graph_minus_the_certificate(g, extra, masked):
+    # the forest a solve continues its step skip from: None exactly when
+    # the outcome is absent, and otherwise a parent list that joins the
+    # pairs a fresh union-find over g minus the certificate joins, that
+    # is, the pairs in one of its components; each certificate vertex is
+    # a root alone
+    f = extra & g.vertex_mask | mask_of(brute_min_fvs(g)[1])
+    for undeletable in (0, masked & g.vertex_mask):
+        out = min_ifvs_given_fvs(g, f, undeletable=undeletable)
+        assert (out.forest is None) == out.absent
+        if out.absent:
+            continue
+        cert = mask_of(out.certificate)
+        assert len(out.forest) == g.n
+        groups = {}
+        for v in range(g.n):
+            root = _root(out.forest, v)
+            groups[root] = groups.get(root, 0) | 1 << v
+        fresh = g.components_within(g.vertex_mask & ~cert) + [1 << v for v in bits(cert)]
+        assert sorted(groups.values()) == sorted(fresh)
